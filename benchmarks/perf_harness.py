@@ -1,15 +1,15 @@
 """Wall-clock performance harness — writes ``BENCH_perf.json``.
 
-Measures the three performance claims of the incremental-engine /
-pruned-scan / parallel-runner work:
+Measures the performance claims of the incremental-engine /
+parallel-runner work:
 
 1. **Greedy path** (the fig1 Approximation-Algorithm path: σ-greedy inside
-   the sandwich): the incremental engine + pruned candidate scan against
-   the legacy configuration (``pruned=False, engine_cache_size=0``, i.e.
-   dense per-pair masks and a from-scratch engine per evaluation), on the
-   fig1 RG-workload family at the quick size (n=40) and scaled sizes where
-   compute, not numpy call overhead, dominates. Placements are asserted
-   identical before timing.
+   the sandwich): the shared incremental engine cache against the legacy
+   configuration (``engine_cache_size=0``, a from-scratch engine per
+   evaluation), both on σ's one candidate scan, on the fig1 RG-workload
+   family at the quick size (n=40) and scaled sizes where compute, not
+   numpy call overhead, dominates. Placements are asserted identical
+   before timing.
 2. **Serve warm cache** (the ``repro serve`` request path): per-request
    latency against a resident substrate vs a cold rebuild per request,
    identical placements asserted (acceptance: warm ≥ 5×).
@@ -37,12 +37,7 @@ import time
 import tracemalloc
 from datetime import datetime, timezone
 
-from repro.core.evaluator import (
-    CANDIDATE_RESTRICT_MIN_N,
-    ENGINE_CACHE_MIN_N,
-    PRUNED_SCAN_MIN_N,
-    SigmaEvaluator,
-)
+from repro.core.evaluator import ENGINE_CACHE_MIN_N, SigmaEvaluator
 from repro.core.greedy import greedy_placement
 from repro.core.problem import MSCInstance, SPARSE_ORACLE_MIN_N
 from repro.experiments.parallel import fanout
@@ -132,12 +127,7 @@ def bench_greedy_path() -> dict:
         # reflecting scheduler jitter instead of the code path.
         repeats = 300 if n <= 50 else (25 if n <= 100 else 3)
         fast = SigmaEvaluator(instance)
-        legacy = SigmaEvaluator(
-            instance,
-            pruned=False,
-            engine_cache_size=0,
-            restrict_candidates=False,
-        )
+        legacy = SigmaEvaluator(instance, engine_cache_size=0)
         fast_s, fast_placement = _time_greedy(fast, k, repeats)
         legacy_s, legacy_placement = _time_greedy(legacy, k, repeats)
         assert fast_placement == legacy_placement, (
@@ -156,10 +146,11 @@ def bench_greedy_path() -> dict:
     headline = sizes[-1]
     return {
         "description": (
-            "fig1 AA greedy path (sigma-greedy), incremental engine + "
-            "pruned scan vs legacy dense scan with from-scratch engines; "
-            "identical placements verified. Headline speedup is the "
-            "largest size, where kernel work dominates call overhead."
+            "fig1 AA greedy path (sigma-greedy), shared incremental "
+            "engine cache vs from-scratch engines, both on sigma's one "
+            "candidate scan; identical placements verified. Headline "
+            "speedup is the largest size, where kernel work dominates "
+            "call overhead."
         ),
         "sizes": sizes,
         "quick_n": sizes[0]["n"],
@@ -170,8 +161,6 @@ def bench_greedy_path() -> dict:
         # (the quick_speedup guard: tiny instances must not regress).
         "cutovers": {
             "engine_cache_min_n": ENGINE_CACHE_MIN_N,
-            "candidate_restrict_min_n": CANDIDATE_RESTRICT_MIN_N,
-            "pruned_scan_min_n": PRUNED_SCAN_MIN_N,
             "sparse_oracle_min_n": SPARSE_ORACLE_MIN_N,
         },
     }

@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.problem import MSCInstance
+from repro.failure.models import satisfaction_limit
 from repro.types import IndexPair
 
 
@@ -44,8 +45,7 @@ class MuFunction:
     def __init__(self, instance: MSCInstance) -> None:
         self.instance = instance
         self.threshold = instance.d_threshold
-        tol = 1e-12 + 1e-9 * self.threshold
-        limit = self.threshold + tol
+        limit = satisfaction_limit(self.threshold)
         # Row accessors, never the square matrix: identical masks on every
         # oracle tier (a sparse/hub oracle serves pair-endpoint rows
         # without materializing O(n²)).
@@ -117,8 +117,7 @@ class NuFunction:
     def __init__(self, instance: MSCInstance) -> None:
         self.instance = instance
         self.threshold = instance.d_threshold
-        tol = 1e-12 + 1e-9 * self.threshold
-        limit = self.threshold + tol
+        limit = satisfaction_limit(self.threshold)
         oracle = instance.oracle
 
         graph = instance.graph

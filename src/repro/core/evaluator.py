@@ -10,21 +10,24 @@ rebuilding from the APSP matrix — the pattern every solver's hot loop
 follows (greedy rounds grow F one edge at a time; EA/AEA offspring differ
 from a pooled parent by one edge).
 
-The one-step lookahead (:meth:`SigmaEvaluator.add_candidates`) scores all
-``O(n²)`` candidate edges simultaneously: for an unsatisfied pair
-``(u, w)``, the candidate ``(a, b)`` satisfies it iff
-``min(d_F(u,a) + d_F(b,w), d_F(u,b) + d_F(a,w)) <= d_t`` — note the
-distances here are already *augmented* by the current set F, so the
-lookahead is exact, not a bound. Since distances are nonnegative, only
-candidates whose endpoints are each within ``d_t`` of a pair endpoint can
-satisfy the pair, so the scan restricts each pair's mask to those rows and
-columns and scatter-adds the reduced block instead of allocating a full
-``(n, n)`` mask per pair (chunked to bound peak memory).
+The one-step lookahead scores every candidate edge at once: for an
+unsatisfied pair ``(u, w)``, the candidate ``(a, b)`` satisfies it iff
+``min(d_F(u,a) + d_F(b,w), d_F(u,b) + d_F(a,w)) <= d_t`` — the distances
+are already *augmented* by F, so the lookahead is exact, not a bound.
+Distances are nonnegative, so both endpoints of a satisfying candidate lie
+within ``d_t`` of the pair. σ's one scan therefore works over the
+base-distance ``d_t``-ball of the pair endpoints and placed shortcut
+endpoints (:meth:`SigmaEvaluator.candidate_universe`) and scatter-adds each
+pair's reduced mask into an ``(r, r)`` block (:class:`PairScanAccumulator`,
+chunked to bound peak memory).
+:meth:`~SigmaEvaluator.add_candidates_restricted` returns the block with
+its universe; :meth:`~SigmaEvaluator.add_candidates` expands it to
+``(n, n)``, filling the zero-gain cells with ``σ(F)``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +38,7 @@ from repro.core.substrate import (  # noqa: F401  (re-exported: historical home)
     EngineCache,
     default_engine_cache_size,
 )
+from repro.failure.models import satisfaction_limit
 from repro.graph.paths import ball_indices
 from repro.graph.shortcuts import ShortcutDistanceEngine
 from repro.types import IndexPair
@@ -42,19 +46,9 @@ from repro.types import IndexPair
 #: Peak per-pair temporary size (elements) for the chunked candidate scan.
 DEFAULT_CHUNK_ELEMENTS = 1 << 22
 
-#: Below this node count the dense per-pair mask is used even when pruning
-#: is enabled: an (n, n) boolean mask this small lives in cache and beats
-#: the pruned path's extra per-pair index bookkeeping.
-PRUNED_SCAN_MIN_N = 96
-
-#: Below this node count the d_t-ball candidate restriction is skipped:
-#: the full (n, n) scan is already cheap and the ball/searchsorted
-#: bookkeeping would dominate.
-CANDIDATE_RESTRICT_MIN_N = 192
-
 
 class PairScanAccumulator:
-    """Index-based scatter-add accumulator for the pruned candidate scan.
+    """Index-based scatter-add accumulator for the σ candidate scan.
 
     Per-pair candidate masks arrive as flat cell indices
     (:meth:`add_pair`); they are buffered and folded into the dense
@@ -97,7 +91,7 @@ class PairScanAccumulator:
         The accumulated counts match the dense ``mask | mask.T`` form (the
         historical ``mask + mask.T - (mask & mask.T)``) cell for cell.
         """
-        near = np.flatnonzero((du <= limit) | (dw <= limit))
+        near = ((du <= limit) | (dw <= limit)).nonzero()[0]
         if near.size == 0:
             return
         du_r = du[near]
@@ -107,7 +101,12 @@ class PairScanAccumulator:
         for start in range(0, near.size, rows_per_chunk):
             stop = min(start + rows_per_chunk, near.size)
             block = (du_r[start:stop, None] + dw_r[None, :]) <= limit
-            block |= (dw_r[start:stop, None] + du_r[None, :]) <= limit
+            if stop - start == near.size:
+                # One chunk holds the whole square block, and the reverse
+                # orientation is its transpose (float + commutes).
+                block |= block.T
+            else:
+                block |= (dw_r[start:stop, None] + du_r[None, :]) <= limit
             flat = (row_offsets[start:stop, None] + near[None, :])[block]
             if flat.size == 0:
                 continue
@@ -133,8 +132,8 @@ class PairScanAccumulator:
         if flat.size * 4 < cells:
             # Sparse flush: scatter straight into the accumulator.
             # bincount would allocate a dense int64/float64 array over all
-            # n² cells — on the restricted scan that temporary would rival
-            # the accumulator itself.
+            # n² cells — a temporary that would rival the accumulator
+            # itself.
             acc_flat = self.acc.reshape(-1)
             np.add.at(acc_flat, flat, 1 if weights is None else weights)
         elif weights is None:
@@ -169,11 +168,6 @@ class SigmaEvaluator:
 
     Args:
         instance: the MSC instance.
-        pruned: use the pruned, chunked candidate scan (default; takes
-            effect from :data:`PRUNED_SCAN_MIN_N` nodes up — below that the
-            dense mask is faster and equally exact). ``False`` always uses
-            the dense per-pair ``(n, n)`` masks — identical results, kept
-            for benchmarking the fast path against.
         engine_cache_size: LRU capacity of the shortcut-engine memo; ``0``
             disables engine reuse (every evaluation rebuilds from the APSP
             matrix). ``None`` (default) adopts the **shared** cache of the
@@ -185,33 +179,17 @@ class SigmaEvaluator:
             :data:`ENGINE_CACHE_MIN_N` nodes up, disabled below — tiny
             instances never pay the cache bookkeeping). An explicit size
             always builds a private cache.
-        restrict_candidates: let the candidate *generation* (not just the
-            scoring) shrink to the d_t-ball of the pair endpoints and
-            placed shortcut endpoints (:meth:`candidate_universe`) —
-            every candidate outside the ball provably has zero marginal
-            gain, so greedy placements are unchanged. Takes effect from
-            :data:`CANDIDATE_RESTRICT_MIN_N` nodes up; ``False`` keeps the
-            full (n, n) enumeration (benchmark baseline).
-        chunk_elements: peak per-pair temporary size for the pruned scan.
     """
 
     def __init__(
         self,
         instance: MSCInstance,
         *,
-        pruned: bool = True,
         engine_cache_size: Optional[int] = None,
-        restrict_candidates: bool = True,
-        chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
     ) -> None:
         self.instance = instance
         self.threshold = instance.d_threshold
-        # Tolerance so pairs exactly on the requirement count as satisfied
-        # despite float rounding.
-        self.tolerance = 1e-12 + 1e-9 * self.threshold
-        self.pruned = bool(pruned)
-        self.restrict_candidates = bool(restrict_candidates)
-        self.chunk_elements = int(chunk_elements)
+        self.limit = satisfaction_limit(self.threshold)
         if engine_cache_size is None:
             # Adopt the substrate's shared engine LRU so concurrent
             # evaluators over one substrate (batch solves, planner
@@ -224,10 +202,7 @@ class SigmaEvaluator:
         self._pairs = instance.pair_indices
         oracle = instance.oracle
         self.base_satisfied: List[bool] = [
-            bool(
-                oracle.distance_by_index(iu, iw)
-                <= self.threshold + self.tolerance
-            )
+            bool(oracle.distance_by_index(iu, iw) <= self.limit)
             for iu, iw in self._pairs
         ]
         self.base_sigma = sum(self.base_satisfied)
@@ -260,6 +235,10 @@ class SigmaEvaluator:
         self._pair_w_slots = np.searchsorted(
             self._w_columns, self._pair_w_cols
         )
+        # The d_t-ball of the pair endpoints, built on the first scan: it
+        # depends only on the instance, so later scans add just the balls
+        # of placed shortcut endpoints.
+        self._pair_ball: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -278,72 +257,24 @@ class SigmaEvaluator:
     def _engine(self, edges: Sequence[IndexPair]) -> ShortcutDistanceEngine:
         return self.engine_cache.get(edges)
 
-    def _use_pruned_scan(self) -> bool:
-        """Whether the scatter-add scan should replace dense masks: both
-        paths are exact, so this is purely a size cutover."""
-        return self.pruned and self.n >= PRUNED_SCAN_MIN_N
-
     def satisfied(self, edges: Sequence[IndexPair]) -> List[bool]:
         """Per-pair satisfaction flags under shortcut set *edges*."""
         if not edges:
             return list(self.base_satisfied)
         engine = self._engine(edges)
-        limit = self.threshold + self.tolerance
         rows = engine.distances_from_indices_to(
             self._u_sources, self._w_columns
         )
         distances = rows[self._pair_u_only_rows, self._pair_w_slots]
-        return (distances <= limit).tolist()
+        return (distances <= self.limit).tolist()
 
     def value(self, edges: Sequence[IndexPair]) -> int:
         """σ(F): the number of maintained social pairs."""
         return sum(self.satisfied(edges))
 
-    def add_candidates(self, edges: Sequence[IndexPair]) -> np.ndarray:
-        """``(n, n)`` int array of ``σ(F ∪ {(a, b)})`` for every candidate.
+    # ------------------------------------------------------ candidate scan
 
-        Symmetric; the diagonal equals ``σ(F)``.
-        """
-        n = self.n
-        engine = self._engine(edges)
-        limit = self.threshold + self.tolerance
-        batched = engine.distances_from_indices(self._sources)
-        pair_distances = batched[self._pair_u_rows, self._pair_w_cols]
-        satisfied_mask = pair_distances <= limit
-        satisfied_now = int(satisfied_mask.sum())
-
-        if self._use_pruned_scan():
-            scan = PairScanAccumulator(
-                n, chunk_elements=self.chunk_elements
-            )
-            for p in np.flatnonzero(~satisfied_mask):
-                scan.add_pair(
-                    batched[self._pair_u_rows[p]],
-                    batched[self._pair_w_rows[p]],
-                    limit,
-                )
-            acc = scan.result()
-        else:
-            acc = np.zeros((n, n), dtype=np.int32)
-            for p in np.flatnonzero(~satisfied_mask):
-                du = batched[self._pair_u_rows[p]]
-                dw = batched[self._pair_w_rows[p]]
-                mask = (du[:, None] + dw[None, :]) <= limit
-                acc += mask
-                acc += mask.T
-                # A pair cannot be double-counted: where both orientations
-                # of a candidate satisfy it, the pair is still satisfied
-                # just once. Correct for the overlap.
-                acc -= mask & mask.T
-        acc += satisfied_now
-        np.fill_diagonal(acc, satisfied_now)
-        return acc
-
-    # ------------------------------------------- restricted candidate scan
-
-    def candidate_universe(
-        self, edges: Sequence[IndexPair]
-    ) -> Optional[np.ndarray]:
+    def candidate_universe(self, edges: Sequence[IndexPair]) -> np.ndarray:
         """Sorted endpoint indices that can carry positive marginal gain.
 
         A candidate ``(a, b)`` satisfies an unsatisfied pair ``(u, w)``
@@ -353,79 +284,119 @@ class SigmaEvaluator:
         decomposes into base-graph hops of at most ``d_t`` whose inner
         stops are placed shortcut endpoints, so every useful endpoint lies
         within **base** distance ``d_t`` of a pair endpoint or of an
-        endpoint of *edges* — the ball this method reads off the oracle's
-        row block. Candidates outside the ball have exactly zero gain,
-        which is why restricting generation to it leaves greedy placements
-        unchanged.
-
-        Returns ``None`` when the restriction is disabled or not worth it
-        (small graphs below :data:`CANDIDATE_RESTRICT_MIN_N`).
+        endpoint of *edges* — the ball this method returns. Candidates
+        with an endpoint outside the ball have exactly zero gain. The
+        returned array is read-only.
         """
-        if not self.restrict_candidates:
-            return None
-        n = self.n
-        if n < CANDIDATE_RESTRICT_MIN_N:
-            return None
-        limit = self.threshold + self.tolerance
+        if self._pair_ball is None:
+            self._pair_ball = self._ball(self._sources)
+        extra = sorted(
+            {int(i) for edge in edges for i in edge}.difference(
+                self._row_of
+            )
+        )
+        if not extra:
+            return self._pair_ball
+        universe = np.union1d(self._pair_ball, self._ball(extra))
+        universe.setflags(write=False)
+        return universe
+
+    def _ball(self, sources: Sequence[int]) -> np.ndarray:
+        """Sorted indices within base distance ``d_t`` of any source."""
         oracle = self.instance.oracle
-        sources = set(self._sources)
-        for a, b in edges:
-            sources.add(int(a))
-            sources.add(int(b))
         if getattr(oracle, "prefers_ball_universe", False):
             # Hub-label tier: a full row query costs the whole label
             # index, while a cutoff Dijkstra costs only the ball — and
             # both enumerate exactly the base-distance d_t-ball.
-            return ball_indices(
-                self.instance.graph, sorted(sources), limit
+            ball = ball_indices(self.instance.graph, sources, self.limit)
+        else:
+            member = np.zeros(self.n, dtype=bool)
+            for src in sources:
+                member |= oracle.row_by_index(src) <= self.limit
+            ball = np.flatnonzero(member).astype(np.intp)
+        ball.setflags(write=False)
+        return ball
+
+    def _scan(
+        self,
+        edges: Sequence[IndexPair],
+        weights: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(scores, universe)``: ``scores[i, j]`` is the objective of
+        ``F ∪ {(universe[i], universe[j])}``, with per-pair *weights*
+        (``None`` counts pairs) — the one candidate scan behind σ and
+        weighted σ. Symmetric; the diagonal holds the value of F."""
+        universe = self.candidate_universe(edges)
+        r = int(universe.size)
+        engine = self._engine(edges)
+        limit = self.limit
+        # Every pair endpoint lies in the universe (distance 0 to itself),
+        # so one query over universe columns serves both the scan rows and
+        # the pair distances. When the ball is the whole graph the
+        # full-row query is the cheaper form of the same block.
+        if r == self.n:
+            rows = engine.distances_from_indices(self._sources)
+            w_slots = self._pair_w_cols
+        else:
+            rows = engine.distances_from_indices_to(self._sources, universe)
+            w_slots = np.searchsorted(universe, self._pair_w_cols)
+        satisfied = rows[self._pair_u_rows, w_slots] <= limit
+        if weights is None:
+            current = int(satisfied.sum())
+        else:
+            current = float(weights[satisfied].sum())
+        scan = PairScanAccumulator(
+            r,
+            weighted=weights is not None,
+            chunk_elements=min(DEFAULT_CHUNK_ELEMENTS, r * r),
+        )
+        for p in np.flatnonzero(~satisfied):
+            weight = None if weights is None else float(weights[p])
+            if weight == 0.0:
+                continue
+            scan.add_pair(
+                rows[self._pair_u_rows[p]],
+                rows[self._pair_w_rows[p]],
+                limit,
+                weight=weight,
             )
-        member = np.zeros(n, dtype=bool)
-        for src in sorted(sources):
-            member |= oracle.row_by_index(src) <= limit
-        return np.flatnonzero(member).astype(np.intp)
+        scores = scan.result()
+        scores += current
+        np.fill_diagonal(scores, current)
+        return scores, universe
 
     def add_candidates_restricted(
         self, edges: Sequence[IndexPair]
-    ) -> Optional["tuple[np.ndarray, np.ndarray]"]:
-        """Candidate scores over the restricted universe.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Candidate scores over the candidate universe.
 
         Returns ``(scores, universe)`` where *universe* is
         :meth:`candidate_universe` and *scores* is the ``(r, r)`` block of
         :meth:`add_candidates` at ``np.ix_(universe, universe)`` —
         computed directly at that size, never materializing ``(n, n)``.
-        Returns ``None`` when the restriction does not apply; callers fall
-        back to the dense scan.
         """
-        universe = self.candidate_universe(edges)
-        if universe is None:
-            return None
-        r = int(universe.size)
-        engine = self._engine(edges)
-        limit = self.threshold + self.tolerance
-        # The scan only reads universe columns, and every pair endpoint is
-        # itself in the universe (distance 0 to itself), so the narrow
-        # (s, r) query serves both the scan rows and the pair distances —
-        # the full (s, n) block is never materialized.
-        restricted = engine.distances_from_indices_to(
-            self._sources, universe
-        )
-        w_slots = np.searchsorted(universe, self._pair_w_cols)
-        pair_distances = restricted[self._pair_u_rows, w_slots]
-        satisfied_mask = pair_distances <= limit
-        satisfied_now = int(satisfied_mask.sum())
-        # Flushing at ~r²/4 buffered cells keeps the transient index
-        # buffers well under the (r, r) result size — on the sparse tier
-        # the whole point is a small peak, and the extra flushes are cheap.
-        scan = PairScanAccumulator(
-            r, chunk_elements=min(self.chunk_elements, max(r * r // 4, 1))
-        )
-        for p in np.flatnonzero(~satisfied_mask):
-            scan.add_pair(
-                restricted[self._pair_u_rows[p]],
-                restricted[self._pair_w_rows[p]],
-                limit,
-            )
-        scores = scan.result()
-        scores += satisfied_now
-        np.fill_diagonal(scores, satisfied_now)
-        return scores, universe
+        return self._scan(edges)
+
+    def add_candidates(self, edges: Sequence[IndexPair]) -> np.ndarray:
+        """``(n, n)`` int array of ``σ(F ∪ {(a, b)})`` for every candidate.
+
+        Symmetric; the diagonal equals ``σ(F)``.
+        """
+        return expand_scores(*self._scan(edges), self.n)
+
+
+def expand_scores(
+    scores: np.ndarray, universe: np.ndarray, n: int
+) -> np.ndarray:
+    """The ``(n, n)`` form of a candidate-universe score block.
+
+    Every cell with an endpoint outside *universe* has zero gain, so it
+    holds the block's diagonal value (the value of F; zero when the
+    universe is empty, which happens only without pairs or shortcuts).
+    """
+    if universe.size == n:
+        return scores
+    current = scores[0, 0] if scores.size else 0
+    full = np.full((n, n), current, dtype=scores.dtype)
+    full[np.ix_(universe, universe)] = scores
+    return full

@@ -64,81 +64,64 @@ def greedy_placement(
             f"candidate_mask shape {candidate_mask.shape} != ({n}, {n})"
         )
 
-    # The restricted scan is sound only when zero-gain candidates can never
-    # be selected (candidates outside the universe have exactly zero gain):
-    # that requires the early-stop semantics and no caller-provided mask to
-    # intersect with. Both paths then provably return identical placements.
+    # Candidates outside a restricted scan's universe have exactly zero
+    # gain, so that scan is sound only when zero-gain candidates can never
+    # be selected: that requires the early-stop semantics and no
+    # caller-provided mask to intersect with. Otherwise the full (n, n)
+    # scan is the block over every node.
     restricted_fn = (
         getattr(fn, "add_candidates_restricted", None)
         if candidate_mask is None and stop_when_no_gain
         else None
     )
+    every_node = np.arange(n)
 
     while len(placed) < k and n > 0:
-        restricted = (
-            restricted_fn(placed) if restricted_fn is not None else None
-        )
-        if restricted is None:
-            # The decline is size/config-based, not state-based — it will
-            # keep declining, so stop asking.
-            restricted_fn = None
-        if restricted is not None:
-            block, universe = restricted
-            r = int(universe.size)
-            if r == 0:
-                break  # no candidate can gain
-            # Private copy in the scan's own (usually integer) dtype so
-            # invalid cells can be masked in place with a dtype-matched
-            # sentinel — no (r, r) float64 conversion copy.
-            scores = np.array(block)
-            current = float(scores[0, 0])
-            sentinel = (
-                -math.inf
-                if np.issubdtype(scores.dtype, np.floating)
-                else np.iinfo(scores.dtype).min
-            )
-            np.fill_diagonal(scores, sentinel)
-            for a, b in placed_set:
-                slots = np.searchsorted(universe, [a, b])
-                if (
-                    slots[0] < r
-                    and slots[1] < r
-                    and universe[slots[0]] == a
-                    and universe[slots[1]] == b
-                ):
-                    scores[slots[0], slots[1]] = sentinel
-                    scores[slots[1], slots[0]] = sentinel
-            flat_best = int(np.argmax(scores))
-            a_r, b_r = divmod(flat_best, r)
-            if scores[a_r, b_r] == sentinel:
-                break  # every restricted cell is masked out
-            best_score = float(scores[a_r, b_r])
-            # universe is sorted, so the flat argmax preserves the dense
-            # path's lexicographic tie-break on the mapped (a, b).
-            a, b = int(universe[a_r]), int(universe[b_r])
+        if restricted_fn is not None:
+            block, universe = restricted_fn(placed)
         else:
-            scores = np.asarray(fn.add_candidates(placed), dtype=float)
-            # The diagonal of add_candidates holds value(placed) by
-            # contract.
-            current = float(scores[0, 0])
-            invalid = np.zeros((n, n), dtype=bool)
-            np.fill_diagonal(invalid, True)
-            for a, b in placed_set:
-                invalid[a, b] = True
-                invalid[b, a] = True
-            if candidate_mask is not None:
-                invalid |= ~candidate_mask
-            scores = np.where(invalid, -math.inf, scores)
-            flat_best = int(np.argmax(scores))
-            a, b = divmod(flat_best, n)
-            best_score = float(scores[a, b])
-        if math.isinf(best_score):
+            block, universe = fn.add_candidates(placed), every_node
+        r = int(universe.size)
+        if r == 0:
+            break  # no candidate can gain
+        # Private copy in the scan's own (usually integer) dtype so
+        # invalid cells can be masked in place with a dtype-matched
+        # sentinel — no float64 conversion copy. The diagonal holds
+        # value(placed) by contract.
+        scores = np.array(block)
+        current = float(scores[0, 0])
+        sentinel = (
+            -math.inf
+            if np.issubdtype(scores.dtype, np.floating)
+            else np.iinfo(scores.dtype).min
+        )
+        np.fill_diagonal(scores, sentinel)
+        for a, b in placed_set:
+            slots = np.searchsorted(universe, [a, b])
+            if (
+                slots[0] < r
+                and slots[1] < r
+                and universe[slots[0]] == a
+                and universe[slots[1]] == b
+            ):
+                scores[slots[0], slots[1]] = sentinel
+                scores[slots[1], slots[0]] = sentinel
+        if candidate_mask is not None:
+            scores[~candidate_mask] = sentinel  # universe is every node
+        flat_best = int(np.argmax(scores))
+        a_r, b_r = divmod(flat_best, r)
+        if scores[a_r, b_r] == sentinel:
             break  # nothing selectable
+        best_score = float(scores[a_r, b_r])
         if stop_when_no_gain and best_score <= current + GAIN_EPSILON:
             break
-        placed.append(normalize_index_pair(a, b))
+        # universe is sorted, so the flat argmax breaks ties toward the
+        # lexicographically smallest mapped (a, b).
+        placed.append(
+            normalize_index_pair(int(universe[a_r]), int(universe[b_r]))
+        )
         placed_set.add(placed[-1])
         # Drop this round's score blocks before the next scan allocates its
-        # own, so two rounds' (r, r)/(n, n) arrays never coexist at peak.
-        scores = restricted = block = invalid = None
+        # own, so two rounds' arrays never coexist at peak.
+        scores = block = None
     return placed

@@ -9,19 +9,19 @@ fraction of the ``O(n²)`` candidates per round.
 
 Context: this library's plain greedy already scores all candidates in one
 vectorized pass (``add_candidates``), which on numpy-friendly sizes is hard
-to beat. CELF wins when point evaluations are cheap relative to a full scan
-— very large ``n``, or set functions without a vectorized scan. For
-submodular inputs both return placements of equal value (ties may resolve
-differently); the test suite verifies value-equality against plain greedy,
-and applying CELF to the non-submodular σ is a heuristic (stale bounds can
-be violated) and is rejected unless explicitly allowed.
+to beat. CELF wins when point evaluations are cheap relative to a full scan,
+i.e. at very large ``n``. For submodular inputs both return placements of
+equal value (ties may resolve differently); the test suite verifies
+value-equality against plain greedy, and applying CELF to the
+non-submodular σ is a heuristic (stale bounds can be violated) and is
+rejected unless explicitly allowed.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from repro.core.greedy import GAIN_EPSILON
 from repro.exceptions import SolverError
 from repro.types import IndexPair, normalize_index_pair
 from repro.util.validation import check_nonnegative_int
-
-#: A point-evaluable set function: value(edges) -> float, plus .n.
-ValueFunction = Callable[[Sequence[IndexPair]], float]
 
 
 def lazy_greedy_placement(
@@ -46,9 +43,9 @@ def lazy_greedy_placement(
     to coincide with plain greedy).
 
     Args:
-        fn: set function exposing ``n`` and ``value(edges)``. Functions
-            also exposing ``is_submodular = True`` (as μ and ν do) are
-            accepted directly; anything else requires
+        fn: a :class:`~repro.core.setfunction.SetFunctionProtocol`.
+            Functions also exposing ``is_submodular = True`` (as μ and ν
+            do) are accepted directly; anything else requires
             ``assume_submodular=True`` as an explicit acknowledgment.
         k: edge budget.
         candidates: candidate universe; defaults to all index pairs.
@@ -67,64 +64,42 @@ def lazy_greedy_placement(
         )
     if k == 0:  # empty placement; skip the O(n^2) heap seeding
         return [], 0
-    n = fn.n
-    default_candidates = candidates is None
-    if not default_candidates:
-        candidates = [normalize_index_pair(a, b) for a, b in candidates]
-
     placed: List[IndexPair] = []
     placed_set: Set[IndexPair] = set()
     current = float(fn.value(placed))
-    evaluations = 1
+    # Seed every candidate's round-0 bound from one vectorized scan.
+    # Without an explicit candidate list the restricted scan suffices:
+    # every candidate outside its universe has exactly zero round-0 gain
+    # and the early stop can never select it, so a heap over universe
+    # pairs alone selects the same edges while seeding O(r²) instead of
+    # O(n²) entries. Round-0 entries are always re-evaluated before
+    # selection, so a seeding bound that differs from the point value by
+    # float noise cannot change correctness.
+    restricted_scan = getattr(fn, "add_candidates_restricted", None)
+    if (
+        candidates is None
+        and stop_when_no_gain
+        and restricted_scan is not None
+    ):
+        block, universe = restricted_scan(placed)
+    else:
+        block, universe = fn.add_candidates(placed), np.arange(fn.n)
+    evaluations = 2  # value(∅) and the seeding scan
+    if candidates is None:
+        rows, cols = np.triu_indices(universe.size, 1)
+        ends = zip(universe[rows].tolist(), universe[cols].tolist())
+    else:
+        # The block spans every node here, so slots are node indices.
+        ends = [normalize_index_pair(a, b) for a, b in candidates]
+        rows = np.array([a for a, _ in ends], dtype=np.intp)
+        cols = np.array([b for _, b in ends], dtype=np.intp)
+    gains = (block[rows, cols] - current).tolist()
     counter = itertools.count()
     # Heap of (-stale_gain, tiebreak, edge, round_evaluated).
-    heap: List[Tuple[float, int, IndexPair, int]] = []
-    scan = getattr(fn, "add_candidates", None)
-    restricted = None
-    if default_candidates and stop_when_no_gain:
-        # Seed from the restricted candidate scan when the function offers
-        # one: every candidate outside the returned universe has exactly
-        # zero round-0 gain and the early stop can never select it, so a
-        # heap over universe pairs alone selects the same edges while
-        # seeding O(r²) instead of O(n²) entries (r = d_t-ball size —
-        # on the hub-label tier the only scan that never touches an
-        # n-wide array).
-        restricted_scan = getattr(fn, "add_candidates_restricted", None)
-        if restricted_scan is not None:
-            restricted = restricted_scan(placed)
-    if restricted is not None:
-        block, universe = restricted
-        evaluations += 1
-        r = int(universe.size)
-        for ai in range(r):
-            a = int(universe[ai])
-            for bi in range(ai + 1, r):
-                gain = float(block[ai, bi]) - current
-                heapq.heappush(
-                    heap,
-                    (-gain, next(counter), (a, int(universe[bi])), 0),
-                )
-    else:
-        if default_candidates:
-            candidates = [
-                (a, b) for a in range(n) for b in range(a + 1, n)
-            ]
-        if scan is not None:
-            # Seed every candidate's round-0 bound from one vectorized
-            # scan instead of O(n²) point evaluations. Round-0 entries are
-            # always re-evaluated before selection, so a seeding bound
-            # that differs from the point value by float noise cannot
-            # change correctness.
-            scores = np.asarray(scan(placed), dtype=float)
-            evaluations += 1
-            for edge in candidates:
-                gain = float(scores[edge[0], edge[1]]) - current
-                heapq.heappush(heap, (-gain, next(counter), edge, 0))
-        else:
-            for edge in candidates:
-                gain = float(fn.value([edge])) - current
-                evaluations += 1
-                heapq.heappush(heap, (-gain, next(counter), edge, 0))
+    heap: List[Tuple[float, int, IndexPair, int]] = [
+        (-gain, next(counter), edge, 0) for gain, edge in zip(gains, ends)
+    ]
+    heapq.heapify(heap)
 
     for round_number in range(1, k + 1):
         best: Optional[Tuple[float, IndexPair]] = None

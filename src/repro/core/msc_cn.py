@@ -18,6 +18,7 @@ import numpy as np
 from repro.core.coverage import greedy_max_coverage
 from repro.core.problem import MSCInstance
 from repro.exceptions import SolverError
+from repro.failure.models import satisfaction_limit
 from repro.types import Node, PlacementResult
 
 
@@ -55,8 +56,7 @@ def solve_msc_cn_exact(
             )
     graph = instance.graph
     matrix = instance.oracle.matrix
-    tol = 1e-12 + 1e-9 * instance.d_threshold
-    limit = instance.d_threshold + tol
+    limit = satisfaction_limit(instance.d_threshold)
     common_idx = graph.node_index(common)
     partners = [w if u == common else u for u, w in instance.pairs]
     partner_indices = np.array(
@@ -145,8 +145,7 @@ def solve_msc_cn(
 
     graph = instance.graph
     matrix = instance.oracle.matrix
-    tol = 1e-12 + 1e-9 * instance.d_threshold
-    limit = instance.d_threshold + tol
+    limit = satisfaction_limit(instance.d_threshold)
     common_idx = graph.node_index(common)
 
     # Partner of each pair (the endpoint that is not the common node).

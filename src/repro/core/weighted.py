@@ -25,7 +25,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.core.bounds import MuFunction, NuFunction
-from repro.core.evaluator import PairScanAccumulator, SigmaEvaluator
+from repro.core.evaluator import SigmaEvaluator, expand_scores
 from repro.core.problem import MSCInstance
 from repro.exceptions import InstanceError
 from repro.types import IndexPair
@@ -69,49 +69,11 @@ class WeightedSigmaEvaluator:
         return float(self.weights @ flags)
 
     def add_candidates(self, edges: Sequence[IndexPair]) -> np.ndarray:
-        """Weighted one-step lookahead, mirroring
-        :meth:`SigmaEvaluator.add_candidates` with per-pair weights.
-
-        Shares σ's engine cache and pruned scatter-add scan, so the same
-        incremental-reuse and memory bounds apply.
-        """
-        n = self.n
-        sigma = self._sigma
-        engine = sigma._engine(edges)
-        limit = sigma.threshold + sigma.tolerance
-        batched = engine.distances_from_indices(sigma._sources)
-        pair_distances = batched[sigma._pair_u_rows, sigma._pair_w_cols]
-        satisfied_mask = pair_distances <= limit
-
-        current = float(self.weights[satisfied_mask].sum())
-        if sigma._use_pruned_scan():
-            scan = PairScanAccumulator(
-                n, weighted=True, chunk_elements=sigma.chunk_elements
-            )
-            for p in np.flatnonzero(~satisfied_mask):
-                weight = float(self.weights[p])
-                if weight == 0.0:
-                    continue
-                scan.add_pair(
-                    batched[sigma._pair_u_rows[p]],
-                    batched[sigma._pair_w_rows[p]],
-                    limit,
-                    weight=weight,
-                )
-            acc = scan.result()
-        else:
-            acc = np.zeros((n, n), dtype=float)
-            for p in np.flatnonzero(~satisfied_mask):
-                weight = float(self.weights[p])
-                if weight == 0.0:
-                    continue
-                du = batched[sigma._pair_u_rows[p]]
-                dw = batched[sigma._pair_w_rows[p]]
-                mask = (du[:, None] + dw[None, :]) <= limit
-                acc += (mask | mask.T) * weight
-        acc += current
-        np.fill_diagonal(acc, current)
-        return acc
+        """Weighted one-step lookahead: σ's candidate scan with per-pair
+        weights, sharing its engine cache, candidate universe and memory
+        bounds."""
+        scores, universe = self._sigma._scan(edges, self.weights)
+        return expand_scores(scores, universe, self.n)
 
 
 class WeightedMuFunction:

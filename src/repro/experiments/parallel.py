@@ -51,6 +51,8 @@ instead of capturing them.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -78,6 +80,9 @@ R = TypeVar("R")
 
 #: Idle poll interval (seconds) while waiting for backoff windows.
 _POLL_INTERVAL = 0.05
+
+#: How often (seconds) a pool worker checks that its parent is alive.
+_PARENT_POLL_INTERVAL = 0.2
 
 
 def resolve_jobs(jobs: int) -> int:
@@ -271,6 +276,27 @@ def _run_serial(
             record(i, result)
 
 
+def _init_worker(parent_pid: int, payload=None) -> None:
+    """Pool initializer: exit with the parent, attach shared arrays.
+
+    A worker whose parent was killed would otherwise block on the call
+    queue forever, and while it lives it holds the resource tracker's
+    pipe open, so the tracker never unlinks the parent's shared-memory
+    segments.
+    """
+    threading.Thread(
+        target=_exit_when_orphaned, args=(parent_pid,), daemon=True
+    ).start()
+    if payload is not None:
+        shm.attach_worker(payload)
+
+
+def _exit_when_orphaned(parent_pid: int) -> None:
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_INTERVAL)
+    os._exit(1)
+
+
 def _terminate_pool(pool: ProcessPoolExecutor, kill: bool) -> None:
     """Shut *pool* down; with *kill*, terminate its worker processes (the
     only way to reclaim a hung worker)."""
@@ -298,12 +324,13 @@ def _run_pool(
     publication = shm.publish(shared) if shared else None
 
     def make_pool() -> ProcessPoolExecutor:
-        if publication is None:
-            return ProcessPoolExecutor(max_workers=max_workers)
         return ProcessPoolExecutor(
             max_workers=max_workers,
-            initializer=shm.attach_worker,
-            initargs=(publication.payload,),
+            initializer=_init_worker,
+            initargs=(
+                os.getpid(),
+                None if publication is None else publication.payload,
+            ),
         )
 
     pool = make_pool()

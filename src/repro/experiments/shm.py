@@ -14,7 +14,7 @@ Lifecycle
   array is copied once into a fresh segment named
   ``mscshm_<pid>_<seq>_<n>`` and the returned :class:`Publication` carries
   the picklable specs workers need to attach.
-* :func:`attach_worker` runs as the pool initializer: it maps each
+* :func:`attach_worker` runs in the pool initializer: it maps each
   segment read-only. Pool workers share the parent's resource-tracker
   process (multiprocessing hands the tracker fd to every child), so the
   attach-side ``register`` is a set no-op there — ownership and the
@@ -24,9 +24,11 @@ Lifecycle
   unlinks every segment — covering normal teardown, worker crashes
   (the pool is rebuilt, the segments survive), and ``KeyboardInterrupt``.
 * If the parent is SIGKILLed before ``close()``, its resource tracker — a
-  separate process that survives it — unlinks the leaked segments, so
-  ``/dev/shm`` is clean even after a hard kill (exercised by the chaos
-  tests).
+  separate process that survives it — unlinks the leaked segments once
+  the orphaned pool workers exit, so ``/dev/shm`` is clean even after a
+  hard kill (exercised by the chaos tests). :func:`publish` registers
+  each name with the tracker *before* creating the segment, so no kill
+  instant leaves a segment the tracker does not know about.
 
 The registry is uniform across execution modes: :func:`get` serves
 worker-attached views when running in a pool and the parent's original
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from multiprocessing import resource_tracker
 from multiprocessing.shared_memory import SharedMemory
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -100,6 +103,21 @@ def _next_segment_name() -> str:
     return f"{SEGMENT_PREFIX}_{os.getpid()}_{_SEQUENCE}"
 
 
+def _create_segment(size: int) -> SharedMemory:
+    """A fresh segment the resource tracker knows about from the start.
+
+    ``SharedMemory(create=True)`` registers with the tracker only after
+    ``shm_open``, so a kill in between would leak the segment for good;
+    registering the name first closes that window. If creation fails,
+    the tracker merely warns about the unknown name at exit.
+    """
+    name = _next_segment_name()
+    # "/" + name is the POSIX name SharedMemory itself registers, so its
+    # own registration is a no-op and close() unregisters both at once.
+    resource_tracker.register("/" + name, "shared_memory")
+    return SharedMemory(create=True, size=size, name=name)
+
+
 def publish(
     shared: Mapping[str, Mapping[str, np.ndarray]]
 ) -> Publication:
@@ -115,11 +133,7 @@ def publish(
             specs: Dict[str, SharedArraySpec] = {}
             for name, array in arrays.items():
                 array = np.ascontiguousarray(array)
-                segment = SharedMemory(
-                    create=True,
-                    size=max(array.nbytes, 1),
-                    name=_next_segment_name(),
-                )
+                segment = _create_segment(max(array.nbytes, 1))
                 view = np.ndarray(
                     array.shape, dtype=array.dtype, buffer=segment.buf
                 )

@@ -33,6 +33,16 @@ def length_to_failure(length: float) -> float:
     return -math.expm1(-length)
 
 
+def satisfaction_limit(d_threshold: float) -> float:
+    """Largest path length that still meets the requirement *d_threshold*.
+
+    A small tolerance absorbs floating-point rounding, so a pair whose
+    path length equals ``d_t`` in exact arithmetic counts as satisfied.
+    Every satisfaction check in the library compares against this value.
+    """
+    return d_threshold + (1e-12 + 1e-9 * max(d_threshold, 0.0))
+
+
 def path_failure_probability(edge_failures: Iterable[float]) -> float:
     """Failure probability of a path, Eq. (1): ``1 - prod(1 - p_i)``."""
     survival = 1.0

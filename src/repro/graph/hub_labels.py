@@ -49,6 +49,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import GraphError
+from repro.failure.models import satisfaction_limit
 from repro.graph.graph import Node, WirelessGraph
 
 INFINITY = math.inf
@@ -57,12 +58,11 @@ INFINITY = math.inf
 def threshold_cutoff(d_threshold: float) -> float:
     """The build cutoff used for an instance with requirement *d_threshold*.
 
-    Strictly above the evaluator's satisfaction limit
-    ``d_t + 1e-12 + 1e-9·d_t``, with an extra relative margin so label
-    distances a float-rounding step away from the boundary stay covered.
+    Strictly above the solvers' :func:`satisfaction_limit`, with an extra
+    relative margin so label distances a float-rounding step away from the
+    boundary stay covered.
     """
-    tol = 1e-12 + 1e-9 * max(d_threshold, 0.0)
-    return (d_threshold + tol) * (1.0 + 1e-9) + 1e-12
+    return satisfaction_limit(d_threshold) * (1.0 + 1e-9) + 1e-12
 
 
 class HubLabelOracle:

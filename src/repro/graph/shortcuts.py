@@ -22,6 +22,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import GraphError
+from repro.failure.models import satisfaction_limit
 from repro.graph.distances import DistanceOracle
 from repro.graph.graph import Node
 from repro.util.unionfind import UnionFind
@@ -415,7 +416,7 @@ class ShortcutDistanceEngine:
         exactly on the threshold count as satisfied.
         """
         graph = self._oracle.graph
-        tol = 1e-12 + 1e-9 * max(threshold, 0.0)
+        limit = satisfaction_limit(threshold)
         # Group by source node so pairs sharing an endpoint reuse one query.
         by_source: Dict[int, np.ndarray] = {}
         out: List[bool] = []
@@ -423,5 +424,5 @@ class ShortcutDistanceEngine:
             iu, iw = graph.node_index(u), graph.node_index(w)
             if iu not in by_source:
                 by_source[iu] = self.distances_from_index(iu)
-            out.append(bool(by_source[iu][iw] <= threshold + tol))
+            out.append(bool(by_source[iu][iw] <= limit))
         return out

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from repro.core.evaluator import SigmaEvaluator
 from repro.core.problem import MSCInstance
+from repro.core.weighted import WeightedSigmaEvaluator
+from repro.netgen.geometric import random_geometric_network
+from repro.netgen.pairs import sample_important_pairs
 from tests.conftest import path_graph
 from tests.core.helpers import (
     all_candidate_edges,
@@ -136,78 +139,94 @@ class TestAgainstBruteForce:
             prev = cur
 
 
-class TestPrunedScan:
-    """The pruned, chunked scatter-add scan must match the dense per-pair
-    masks cell for cell (both are exact)."""
+#: (nodes, RG radius, p_t) of the single-scan property test: below, between
+#: and above the sizes where σ used to switch scan paths. At n=40 the
+#: d_t-ball covers the whole graph (the full-row query); the larger graphs
+#: keep it partial (the column query).
+SCAN_CASES = [(40, 0.3, 0.2), (120, 0.18, 0.03), (250, 0.13, 0.03)]
 
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_pruned_matches_dense(self, seed):
-        import repro.core.evaluator as ev
 
-        instance = random_instance(seed)
-        old = ev.PRUNED_SCAN_MIN_N
-        ev.PRUNED_SCAN_MIN_N = 0  # instances here are below the cutover
-        try:
-            fast = SigmaEvaluator(instance)
-            assert fast._use_pruned_scan()
-            legacy = SigmaEvaluator(instance, pruned=False)
-            rng = random.Random(seed ^ 0xCAFE)
-            edges = []
-            for _ in range(rng.randrange(0, 3)):
-                edges.append(
-                    tuple(sorted(rng.sample(range(instance.n), 2)))
-                )
-            assert np.array_equal(
-                fast.add_candidates(edges), legacy.add_candidates(edges)
+@pytest.fixture(scope="module", params=SCAN_CASES, ids=lambda c: f"n{c[0]}")
+def scan_case(request):
+    """A RG instance on every oracle tier, a shortcut chain F_0 ⊂ … ⊂ F_3,
+    and the brute-force per-pair flags of ``F_i ∪ {e}`` for every cell.
+
+    F_1's shortcut joins a pair endpoint to a node outside the pair
+    endpoints' d_t-ball whenever the ball is partial, so a scan with F_1
+    must grow the universe its F_0 scan cached. The next two shortcuts
+    are the brute-force best candidates, so σ(F) becomes positive.
+    """
+    n, radius, p_t = request.param
+    network = random_geometric_network(
+        n, radius=radius, max_link_failure=0.08, seed=n
+    )
+    pairs = sample_important_pairs(network.graph, 5, p_t, seed=(n, "scan"))
+    instances = {
+        tier: MSCInstance(
+            network.graph, pairs, k=3, p_threshold=p_t, oracle=tier
+        )
+        for tier in ("dense", "sparse", "hub")
+    }
+    reference = SigmaEvaluator(instances["dense"])
+    size = reference.n
+    ball = reference.candidate_universe([])
+    outside = np.setdiff1d(np.arange(size), ball)
+    u = int(reference._sources[0])
+    far = int(outside[0]) if outside.size else (u + 1) % size
+    chain = [tuple(sorted((u, far)))]
+    rows, cols = np.triu_indices(size, 1)
+    flags = []
+    for i in range(4):
+        flags.append(
+            np.array(
+                [
+                    reference.satisfied(chain[:i] + [(int(a), int(b))])
+                    for a, b in zip(rows, cols)
+                ]
             )
-        finally:
-            ev.PRUNED_SCAN_MIN_N = old
+        )
+        if 1 <= i < 3:
+            best = int(np.argmax(flags[i].sum(axis=1)))
+            chain.append((int(rows[best]), int(cols[best])))
+    assert flags[3].sum(axis=1).min() > 0  # σ(F_3) > 0
+    return instances, chain, flags, far, outside.size > 0
 
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=10, deadline=None)
-    def test_pruned_matches_brute_force(self, seed):
-        """Every candidate's score equals brute-force σ(F ∪ {(a, b)})."""
-        import repro.core.evaluator as ev
 
-        instance = random_instance(seed, max_pairs=4)
-        old = ev.PRUNED_SCAN_MIN_N
-        ev.PRUNED_SCAN_MIN_N = 0
-        try:
-            evaluator = SigmaEvaluator(instance)
-            assert evaluator._use_pruned_scan()
-            rng = random.Random(seed ^ 0xD1CE)
-            edges = []
-            for _ in range(rng.randrange(0, 2)):
-                edges.append(
-                    tuple(sorted(rng.sample(range(instance.n), 2)))
-                )
-            scores = evaluator.add_candidates(edges)
-            for a, b in all_candidate_edges(instance.n):
-                assert scores[a, b] == brute_force_sigma(
-                    instance, edges + [(a, b)]
-                )
-        finally:
-            ev.PRUNED_SCAN_MIN_N = old
+class TestSingleScan:
+    """The d_t-ball scan is σ's only scan: it must agree with point
+    evaluation on every cell, whatever the size, tier and placed set."""
 
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=15, deadline=None)
-    def test_tiny_chunks_match(self, seed):
-        """A pathologically small chunk budget (many flushes) changes
-        nothing but peak memory."""
-        import repro.core.evaluator as ev
+    @pytest.mark.parametrize("tier", ["dense", "sparse", "hub"])
+    def test_matches_point_evaluation(self, scan_case, tier):
+        instances, chain, flags, far, partial = scan_case
+        instance = instances[tier]
+        evaluator = SigmaEvaluator(instance)
+        weights = np.random.default_rng(7).uniform(0.5, 2.0, instance.m)
+        weights[0] = 0.0  # zero-weight pairs are skipped by the scan
+        weighted = WeightedSigmaEvaluator(instance, weights)
+        rows, cols = np.triu_indices(instance.n, 1)
+        for i in range(4):
+            placed = chain[:i]
+            expected = flags[i]
 
-        instance = random_instance(seed)
-        old = ev.PRUNED_SCAN_MIN_N
-        ev.PRUNED_SCAN_MIN_N = 0
-        try:
-            chunked = SigmaEvaluator(instance, chunk_elements=3)
-            default = SigmaEvaluator(instance)
-            assert np.array_equal(
-                chunked.add_candidates([]), default.add_candidates([])
+            scores = evaluator.add_candidates(placed)
+            assert np.array_equal(scores, scores.T)
+            assert np.all(np.diag(scores) == evaluator.value(placed))
+            assert np.array_equal(scores[rows, cols], expected.sum(axis=1))
+
+            block, universe = evaluator.add_candidates_restricted(placed)
+            assert np.array_equal(block, scores[np.ix_(universe, universe)])
+            if i == 0:
+                assert (universe.size < instance.n) == partial
+            elif partial:
+                # The stale-cache case: F reaches outside the ball the
+                # F_0 scan cached, and the universe must follow it.
+                assert far in universe
+
+            weighted_scores = weighted.add_candidates(placed)
+            assert weighted_scores[rows, cols] == pytest.approx(
+                expected @ weights, abs=1e-9
             )
-        finally:
-            ev.PRUNED_SCAN_MIN_N = old
 
 
 class TestPairScanAccumulator:

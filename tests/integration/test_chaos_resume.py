@@ -31,6 +31,35 @@ def _run_cli(args, json_path):
     return json_path.read_bytes()
 
 
+def _live_cli_processes(marker):
+    """PIDs of live (non-zombie) ``repro.cli`` processes with *marker* as
+    one of their arguments."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            argv = (entry / "cmdline").read_bytes().split(b"\0")
+            stat = (entry / "stat").read_text()
+        except OSError:  # exited while we looked
+            continue
+        state = stat.rsplit(")", 1)[1].split()[0]
+        if state != "Z" and b"repro.cli" in argv and marker.encode() in argv:
+            pids.append(int(entry.name))
+    return pids
+
+
+def _assert_no_orphaned_workers(marker):
+    """Pool workers must not outlive their SIGKILLed parent: an orphan
+    blocks forever and keeps the resource tracker from cleaning up."""
+    if not Path("/proc").is_dir():
+        return  # no process table to inspect on this platform
+    deadline = time.monotonic() + 30
+    while _live_cli_processes(marker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _live_cli_processes(marker) == []
+
+
 @pytest.mark.slow
 class TestKillAndResume:
     def test_killed_parallel_run_resumes_byte_identical(self, tmp_path):
@@ -76,6 +105,7 @@ class TestKillAndResume:
                 victim.kill()
                 victim.wait()
 
+        _assert_no_orphaned_workers(str(ckpt))
         completed = len(list(ckpt.glob("task-*.json")))
         assert 0 < completed <= total
 
@@ -126,6 +156,7 @@ class TestKillAndResume:
                 victim.kill()
                 victim.wait()
 
+        _assert_no_orphaned_workers(str(ckpt))
         records = sorted(ckpt.glob("task-*.json"))
         assert records  # the poll saw at least one before killing
         for path in records:
@@ -137,10 +168,12 @@ class TestKillAndResume:
     )
     def test_sigkilled_run_leaks_no_shm_segments(self, tmp_path):
         """Hard-killing a parallel sweep while its shared-memory
-        publication is live must leave /dev/shm clean: the resource
-        tracker outlives the parent and unlinks the orphaned segments."""
+        publication is live must leave /dev/shm clean: the pool workers
+        exit with the parent, and the resource tracker, which outlives
+        both, unlinks the orphaned segments."""
         import glob
 
+        json_path = tmp_path / "all.json"
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get(
             "PYTHONPATH", ""
@@ -153,7 +186,7 @@ class TestKillAndResume:
             [
                 sys.executable, "-m", "repro.cli", "run", "all",
                 "--scale", "quick", "--seed", "7", "--jobs", "4",
-                "--json", str(tmp_path / "all.json"),
+                "--json", str(json_path),
             ],
             cwd=str(REPO_ROOT),
             env=env,
@@ -181,6 +214,7 @@ class TestKillAndResume:
             "run finished before the poll ever saw a live publication; "
             "the kill window was missed"
         )
+        _assert_no_orphaned_workers(str(json_path))
         # Cleanup is asynchronous: the tracker unlinks once the orphaned
         # pool workers notice the dead parent and exit.
         deadline = time.monotonic() + 60
