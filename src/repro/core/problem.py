@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Union
 
 from repro.core.substrate import OracleLike, PlacementRequest, Substrate
 from repro.exceptions import InstanceError
-from repro.failure.models import length_to_failure
+from repro.failure.models import length_to_failure, satisfaction_limit
 from repro.graph.distances import DistanceOracle
 from repro.graph.graph import Node, WirelessGraph
 from repro.graph.hub_labels import HubLabelOracle, threshold_cutoff
@@ -230,12 +230,24 @@ class MSCInstance:
         request: PlacementRequest,
         pair_indices: List[IndexPair],
     ) -> None:
+        oracle = substrate.oracle
+        if (
+            isinstance(oracle, HubLabelOracle)
+            and oracle.cutoff is not None
+            and satisfaction_limit(request.d_threshold) > oracle.cutoff
+        ):
+            # Beyond its cutoff a hub index may over-report distances, so
+            # σ would silently undercount the pairs the request counts.
+            raise InstanceError(
+                f"the request's d_t={request.d_threshold:.6g} is beyond the "
+                f"hub-label substrate's cutoff={oracle.cutoff:.6g}; build "
+                "the substrate for this threshold (or a larger one)"
+            )
         self.substrate = substrate
         self.request = request
         self.pairs: List[NodePair] = list(request.pairs)
         self.pair_indices: List[IndexPair] = pair_indices
         if request.require_initially_unsatisfied:
-            oracle = substrate.oracle
             for (u, w), (iu, iw) in zip(self.pairs, pair_indices):
                 if oracle.distance_by_index(iu, iw) <= request.d_threshold:
                     raise InstanceError(

@@ -19,12 +19,18 @@ overhead a network engineer would weigh against placing a reliable link.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Set, Tuple
+from typing import List, Sequence
 
-from repro.graph.graph import Node, WirelessGraph
-from repro.sim.delivery import DeliverySimulator, STRATEGIES
-from repro.sim.sampling import sample_failed_edges
-from repro.exceptions import SolverError
+import numpy as np
+
+from repro.graph.graph import WirelessGraph
+from repro.sim.delivery import (
+    STRATEGIES,
+    DeliverySimulator,
+    check_strategy,
+    flood_block,
+)
+from repro.sim.sampling import failure_blocks
 from repro.types import NodePair
 from repro.util.rng import SeedLike, ensure_rng
 from repro.util.validation import check_positive_int
@@ -54,44 +60,6 @@ class OverheadReport:
         return self.transmissions / self.deliveries
 
 
-def _path_transmissions(path: Sequence[Node], failed) -> Tuple[int, bool]:
-    """Transmissions consumed sending along *path*: hops up to and
-    including the first failed link. Returns (count, delivered)."""
-    sent = 0
-    for a, b in zip(path, path[1:]):
-        sent += 1
-        if (a, b) in failed or (b, a) in failed:
-            return sent, False
-    return sent, True
-
-
-def _flood_transmissions(
-    graph: WirelessGraph, failed, source: Node, target: Node
-) -> Tuple[int, bool]:
-    """Flooding: BFS over surviving links from *source*; every reached node
-    broadcasts once, so each surviving link inside the reached component is
-    traversed once. Returns (transmissions, target reached)."""
-    failed_idx = {
-        (graph.node_index(a), graph.node_index(b)) for a, b in failed
-    }
-    src = graph.node_index(source)
-    dst = graph.node_index(target)
-    seen: Set[int] = {src}
-    stack = [src]
-    transmissions = 0
-    while stack:
-        u = stack.pop()
-        for v in graph.neighbors_by_index(u):
-            if (u, v) in failed_idx or (v, u) in failed_idx:
-                continue
-            transmissions += 1  # u's broadcast crosses this surviving link
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    # Each link inside the component was counted from both endpoints.
-    return transmissions // 2, dst in seen
-
-
 def measure_overhead(
     simulator: DeliverySimulator,
     pairs: Sequence[NodePair],
@@ -104,38 +72,31 @@ def measure_overhead(
     """Simulate *trials* rounds and account transmissions for *strategy*.
 
     Uses the simulator's augmented graph (shortcut edges included, never
-    failing)."""
+    failing). Flooding needs both endpoints of every pair in the graph
+    (:class:`~repro.exceptions.GraphError` otherwise); under the routed
+    strategies a pair without a route costs nothing and never
+    delivers."""
     check_positive_int(trials, "trials")
-    if strategy not in STRATEGIES:
-        raise SolverError(
-            f"unknown strategy {strategy!r}; "
-            f"available: {', '.join(STRATEGIES)}"
-        )
+    check_strategy(strategy)
     rng = ensure_rng(seed)
-    graph = simulator.graph
-    routes = simulator._routes(pairs, strategy, multipath_k)
-
+    table = simulator.edge_table
     deliveries = 0
     transmissions = 0
-    for _ in range(trials):
-        failed = sample_failed_edges(graph, rng)
-        for i, (u, w) in enumerate(pairs):
-            if strategy == "flooding":
-                spent, ok = _flood_transmissions(graph, failed, u, w)
-                transmissions += spent
-                deliveries += int(ok)
-            else:
-                pair_routes = routes[i]
-                if pair_routes is None:
-                    continue
-                delivered = False
-                for path in pair_routes:
-                    spent, ok = _path_transmissions(path, failed)
-                    transmissions += spent
-                    if ok:
-                        delivered = True
-                        break  # stop at the first surviving path
-                deliveries += int(delivered)
+    if strategy == "flooding":
+        index = simulator.graph.node_index
+        ends = np.array(
+            [(index(u), index(w)) for u, w in pairs], dtype=np.intp
+        ).reshape(-1, 2)
+        for failed in failure_blocks(table, rng, trials, len(ends)):
+            delivered, spent = flood_block(table, failed, ends)
+            deliveries += int(delivered.sum())
+            transmissions += int(spent.sum())
+    else:
+        routes, _analytic = simulator._routes(pairs, strategy, multipath_k)
+        for failed in failure_blocks(table, rng, trials, routes.width):
+            delivered, spent = routes.account(failed)
+            deliveries += delivered
+            transmissions += spent
     return OverheadReport(
         strategy=strategy,
         trials=trials,

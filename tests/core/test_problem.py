@@ -147,3 +147,89 @@ class TestCommonNode:
         g = path_graph([1.0] * 3)
         inst = MSCInstance(g, [(0, 3)], k=1, d_threshold=2.5)
         assert inst.common_node() == 0
+
+
+class TestHubThresholdGuard:
+    """A cutoff hub-label index is exact only up to its cutoff; beyond it
+    labels may over-report distances and σ undercounts without error. A
+    request whose threshold the cutoff does not cover must be refused."""
+
+    P_T = 0.3
+
+    @pytest.fixture(scope="class")
+    def rg300(self):
+        from repro.core.substrate import PlacementRequest
+        from repro.experiments.workloads import rg_workload
+        from repro.netgen.pairs import select_important_pairs
+
+        workload = rg_workload(seed=1, n=300)
+        pairs = select_important_pairs(
+            workload.graph, 20, self.P_T, seed=1, oracle=workload.oracle
+        )
+        return workload, PlacementRequest(pairs, 3, p_threshold=self.P_T)
+
+    @staticmethod
+    def _hub(graph, d_threshold):
+        from repro.core.substrate import Substrate
+        from repro.graph.hub_labels import HubLabelOracle, threshold_cutoff
+
+        return Substrate(
+            graph, HubLabelOracle(graph, cutoff=threshold_cutoff(d_threshold))
+        )
+
+    def test_lower_cutoff_rejected_by_from_parts_and_constructor(self, rg300):
+        from repro.failure.models import failure_to_length
+
+        workload, request = rg300
+        hub = self._hub(workload.graph, failure_to_length(0.03))
+        with pytest.raises(InstanceError, match="cutoff"):
+            MSCInstance.from_parts(hub, request)
+        with pytest.raises(InstanceError, match="cutoff"):
+            MSCInstance(
+                workload.graph, request.pairs, request.k,
+                p_threshold=self.P_T, oracle=hub.oracle,
+            )
+        with pytest.raises(InstanceError, match="cutoff"):
+            MSCInstance(
+                workload.graph, request.pairs, request.k,
+                p_threshold=self.P_T, oracle=hub,
+            )
+
+    def test_cutoff_from_the_requests_own_threshold_passes(self, rg300):
+        from repro.core.evaluator import SigmaEvaluator
+        from repro.core.greedy import greedy_placement
+
+        workload, request = rg300
+        hub = self._hub(workload.graph, request.d_threshold)
+        sigmas = []
+        for substrate in (hub, workload.substrate()):
+            evaluator = SigmaEvaluator(
+                MSCInstance.from_parts(substrate, request)
+            )
+            sigmas.append(
+                evaluator.value(greedy_placement(evaluator, request.k))
+            )
+        assert sigmas[0] == sigmas[1]
+
+    def test_boundary_is_the_satisfaction_limit(self):
+        from repro.failure.models import satisfaction_limit
+        from repro.graph.hub_labels import HubLabelOracle
+
+        g = path_graph([1.0] * 4)
+        d_t = 2.5
+        # A cutoff at d_t itself misses the rounding tolerance above it.
+        below = HubLabelOracle(g, cutoff=d_t)
+        with pytest.raises(InstanceError, match="cutoff"):
+            MSCInstance(g, [(0, 4)], k=1, d_threshold=d_t, oracle=below)
+        at = HubLabelOracle(g, cutoff=satisfaction_limit(d_t))
+        inst = MSCInstance(g, [(0, 4)], k=1, d_threshold=d_t, oracle=at)
+        assert inst.oracle_kind == "hub"
+
+    def test_full_hub_index_serves_any_threshold(self):
+        from repro.graph.hub_labels import HubLabelOracle
+
+        g = path_graph([1.0] * 4)
+        inst = MSCInstance(
+            g, [(0, 4)], k=1, d_threshold=3.5, oracle=HubLabelOracle(g)
+        )
+        assert inst.oracle_kind == "hub"

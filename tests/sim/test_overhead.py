@@ -9,8 +9,6 @@ from repro.graph.graph import WirelessGraph
 from repro.sim.delivery import DeliverySimulator
 from repro.sim.overhead import (
     OverheadReport,
-    _flood_transmissions,
-    _path_transmissions,
     compare_overheads,
     measure_overhead,
 )
@@ -22,34 +20,6 @@ def reliable_path(n_edges=3):
     for i in range(n_edges):
         g.add_edge(i, i + 1, failure_probability=0.0)
     return g
-
-
-class TestPathTransmissions:
-    def test_full_path_delivered(self):
-        sent, ok = _path_transmissions([0, 1, 2, 3], set())
-        assert (sent, ok) == (3, True)
-
-    def test_stops_at_first_failure(self):
-        sent, ok = _path_transmissions([0, 1, 2, 3], {(1, 2)})
-        assert (sent, ok) == (2, False)
-
-    def test_failure_orientation_irrelevant(self):
-        sent, ok = _path_transmissions([0, 1, 2], {(1, 0)})
-        assert (sent, ok) == (1, False)
-
-
-class TestFloodTransmissions:
-    def test_counts_component_links_once(self):
-        g = reliable_path(3)
-        sent, ok = _flood_transmissions(g, set(), 0, 3)
-        assert sent == 3
-        assert ok
-
-    def test_failed_link_blocks_and_reduces(self):
-        g = reliable_path(3)
-        sent, ok = _flood_transmissions(g, {(1, 2)}, 0, 3)
-        assert sent == 1  # only 0-1 survives in source component
-        assert not ok
 
 
 class TestMeasureOverhead:

@@ -2,10 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.sim.sampling import (
-    adjacency_after_failures,
+    BLOCK_ELEMENTS,
+    block_uniforms,
+    edge_table,
+    failure_blocks,
     sample_failed_edges,
     surviving_graph,
 )
@@ -71,9 +75,49 @@ class TestSurvivingGraph:
         assert survivor.length(1, 2) == 2.0
 
 
-class TestAdjacencyAfterFailures:
-    def test_structure(self):
-        g = path_graph([1.0, 1.0])
-        adjacency = adjacency_after_failures(g, {(0, 1)})
-        assert adjacency[0] == []
-        assert sorted(adjacency[1]) == [2]
+class TestBlockUniforms:
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, BLOCK_ELEMENTS + 3])
+    def test_equal_to_random_calls_and_same_final_state(self, count):
+        batched, looped = random.Random(11), random.Random(11)
+        uniforms = block_uniforms(batched, count)
+        assert uniforms.dtype == np.float64
+        assert uniforms.tolist() == [looped.random() for _ in range(count)]
+        assert batched.getstate() == looped.getstate()
+        assert batched.random() == looped.random()
+
+
+class TestFailureBlocks:
+    def test_blocks_bound_their_size_and_cover_every_trial(self):
+        g = path_graph([0.5] * 40)  # 41 nodes, 40 edges
+        blocks = list(failure_blocks(edge_table(g), random.Random(2), 1000))
+        per_block = BLOCK_ELEMENTS // 41
+        assert [len(b) for b in blocks[:-1]] == [per_block] * (len(blocks) - 1)
+        assert sum(len(b) for b in blocks) == 1000
+        for block in blocks:
+            assert block.shape[1] == 41  # 40 edges + the placeholder
+            assert not block[:, -1].any()
+        # A wider evaluation shrinks the blocks but not the samples.
+        wide = list(
+            failure_blocks(edge_table(g), random.Random(2), 1000, width=400)
+        )
+        assert len(wide[0]) == BLOCK_ELEMENTS // 400
+        assert np.array_equal(np.concatenate(blocks), np.concatenate(wide))
+
+    def test_draw_equal_to_the_probability_does_not_fail(self):
+        """An edge fails when ``random() < p``, strictly."""
+        seed = 0
+        draw = random.Random(seed).random()
+        g = WirelessGraph()
+        g.add_edge(0, 1, failure_probability=draw)
+        assert g.failure_probability(0, 1) == draw  # the tie is exact
+        (block,) = failure_blocks(edge_table(g), random.Random(seed), 1)
+        assert not block[0, 0]
+
+    def test_edgeless_graph_draws_nothing(self):
+        g = WirelessGraph()
+        g.add_nodes([0, 1])
+        rng = random.Random(4)
+        state = rng.getstate()
+        (block,) = failure_blocks(edge_table(g), rng, 5)
+        assert block.shape == (5, 1) and not block.any()
+        assert rng.getstate() == state
