@@ -4,9 +4,10 @@
 Raw wall-clock times are machine-dependent, so the gate compares the
 *relative* speedups measured on the same machine in the same process:
 
-* fig1 greedy path: the fast-vs-legacy speedup at the headline size and at
-  the quick size must not fall more than ``--tolerance`` (default 25%)
-  below the committed baseline's. A drop means the optimized path itself
+* σ point evaluation: the batched terminal-closure kernel against a fresh
+  shortcut engine per placement, at paper scale (headline) and at the
+  fig1 quick size, must not fall more than ``--tolerance`` (default 25%)
+  below the committed baseline's. A drop means the batched kernel itself
   regressed — both numbers divide out the machine.
 * ``--memory``: additionally runs the sparse-vs-dense oracle tier at
   n=2000 and asserts the sparse peak stays within the memory budget
@@ -36,16 +37,16 @@ import sys
 
 try:
     from benchmarks.perf_harness import (
-        bench_greedy_path,
         bench_hub_tier,
         bench_oracle_tiers,
+        bench_point_eval,
         bench_serve_warm_cache,
     )
 except ImportError:  # invoked as `python benchmarks/check_regression.py`
     from perf_harness import (
-        bench_greedy_path,
         bench_hub_tier,
         bench_oracle_tiers,
+        bench_point_eval,
         bench_serve_warm_cache,
     )
 
@@ -68,24 +69,26 @@ LARGE_N_SPEEDUP_FLOOR = 3.0
 SERVE_WARM_SPEEDUP_FLOOR = 5.0
 
 
-def check_greedy_speedups(baseline: dict, tolerance: float) -> list:
-    """Compare fresh fig1 greedy-path speedups against *baseline*."""
+def check_point_eval_speedups(baseline: dict, tolerance: float) -> list:
+    """Compare fresh σ point-evaluation speedups against *baseline*."""
     failures = []
-    base = baseline["fig1_greedy_path"]
-    current = bench_greedy_path()
+    base = baseline["sigma_point_eval"]
+    current = bench_point_eval()
     for label, key in (("headline", "speedup"), ("quick", "quick_speedup")):
         base_speedup = float(base[key])
         now_speedup = float(current[key])
         floor = base_speedup * (1.0 - tolerance)
         status = "ok" if now_speedup >= floor else "REGRESSION"
         print(
-            f"fig1 {label} speedup: baseline {base_speedup:.3f}, "
-            f"current {now_speedup:.3f} (floor {floor:.3f}) [{status}]"
+            f"sigma point-eval {label} speedup: baseline "
+            f"{base_speedup:.3f}, current {now_speedup:.3f} "
+            f"(floor {floor:.3f}) [{status}]"
         )
         if now_speedup < floor:
             failures.append(
-                f"fig1 {label} speedup {now_speedup:.3f} fell more than "
-                f"{tolerance:.0%} below baseline {base_speedup:.3f}"
+                f"sigma point-eval {label} speedup {now_speedup:.3f} fell "
+                f"more than {tolerance:.0%} below baseline "
+                f"{base_speedup:.3f}"
             )
     return failures
 
@@ -197,7 +200,7 @@ def main() -> int:
     with open(args.baseline) as handle:
         baseline = json.load(handle)
 
-    failures = check_greedy_speedups(baseline, args.tolerance)
+    failures = check_point_eval_speedups(baseline, args.tolerance)
     if args.memory:
         failures.extend(check_memory_budget())
     if args.large_n:

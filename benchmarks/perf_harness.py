@@ -1,23 +1,30 @@
 """Wall-clock performance harness — writes ``BENCH_perf.json``.
 
-Measures the performance claims of the incremental-engine /
-parallel-runner work:
+Measures the performance claims of the σ kernels and the parallel
+runner:
 
-1. **Greedy path** (the fig1 Approximation-Algorithm path: σ-greedy inside
+1. **σ point evaluation** (the random baseline's and EA/AEA's path): the
+   batched terminal-closure kernel (``SigmaEvaluator.value_many`` over
+   500 random placements) against σ read from a fresh
+   ``ShortcutDistanceEngine`` per placement — the engine the candidate
+   scan keeps — at the fig1 quick size and at paper scale, values
+   asserted equal before timing. ``check_regression.py`` gates this
+   same-process ratio.
+2. **Greedy path** (the fig1 Approximation-Algorithm path: σ-greedy inside
    the sandwich): the shared incremental engine cache against the legacy
    configuration (``engine_cache_size=0``, a from-scratch engine per
    evaluation), both on σ's one candidate scan, on the fig1 RG-workload
    family at the quick size (n=40) and scaled sizes where compute, not
    numpy call overhead, dominates. Placements are asserted identical
-   before timing.
-2. **Serve warm cache** (the ``repro serve`` request path): per-request
+   before timing. Recorded as the engine-cache A/B; not gated.
+3. **Serve warm cache** (the ``repro serve`` request path): per-request
    latency against a resident substrate vs a cold rebuild per request,
    identical placements asserted (acceptance: warm ≥ 5×).
-3. **Per-experiment wall-clock** of every quick-scale experiment.
-4. **``run_all`` scaling**: a balanced (experiment × seed) task grid run
+4. **Per-experiment wall-clock** of every quick-scale experiment.
+5. **``run_all`` scaling**: a balanced (experiment × seed) task grid run
    serially and with ``--jobs``-style fan-out, with byte-identity of the
-   results verified. Speedup requires actual cores — ``cpu_count`` is
-   recorded so a 1-core container's numbers are interpretable.
+   results verified. Speedup requires actual cores: with fewer cores than
+   jobs it is recorded as ``unmeasured``.
 
 Usage::
 
@@ -37,9 +44,12 @@ import time
 import tracemalloc
 from datetime import datetime, timezone
 
+import numpy as np
+
 from repro.core.evaluator import ENGINE_CACHE_MIN_N, SigmaEvaluator
 from repro.core.greedy import greedy_placement
 from repro.core.problem import MSCInstance, SPARSE_ORACLE_MIN_N
+from repro.core.random_baseline import _trial_edges
 from repro.experiments.parallel import fanout
 from repro.experiments.runner import (
     _timed_experiment_task,
@@ -48,6 +58,7 @@ from repro.experiments.runner import (
     shared_workload_payload,
 )
 from repro.experiments.workloads import rg_workload
+from repro.graph.shortcuts import ShortcutDistanceEngine
 from repro.netgen.geometric import random_geometric_network
 from repro.netgen.pairs import sample_important_pairs
 
@@ -56,6 +67,15 @@ from repro.netgen.pairs import sample_important_pairs
 #: workload family scaled until kernel work dominates per-call overhead.
 GREEDY_SIZES = [(40, 8, 2), (100, 30, 3), (200, 60, 4), (300, 80, 5)]
 FIG1_QUICK_P = 0.08
+
+#: (n, m, k, p_t) points of the σ point-evaluation benchmark: the fig1
+#: quick configuration and the paper's fig2/fig4 RG scale (n=100, m=80)
+#: at fig4's largest budget.
+POINT_EVAL_SIZES = [(40, 8, 2, FIG1_QUICK_P), (100, 80, 8, 0.14)]
+
+#: Random placements per point-evaluation measurement, drawn like the
+#: random baseline's trials (its default trial count).
+POINT_EVAL_PLACEMENTS = 500
 
 #: (n, p_t, m, k, compare_dense) points of the oracle-tier benchmark.
 #: The RG radius shrinks as 0.2 * sqrt(100 / n) so average degree stays
@@ -163,6 +183,87 @@ def bench_greedy_path() -> dict:
             "engine_cache_min_n": ENGINE_CACHE_MIN_N,
             "sparse_oracle_min_n": SPARSE_ORACLE_MIN_N,
         },
+    }
+
+
+def _engine_values(evaluator, placements):
+    """σ of each placement from a fresh supernode engine per placement."""
+    instance = evaluator.instance
+    pairs = np.array(instance.pair_indices, dtype=np.intp)
+    ends, slots = np.unique(pairs, return_inverse=True)
+    slots = slots.reshape(pairs.shape)
+    values = []
+    for edges in placements:
+        engine = ShortcutDistanceEngine.from_index_pairs(
+            instance.oracle, edges
+        )
+        rows = engine.distances_from_indices_to(ends, ends)
+        distances = rows[slots[:, 0], slots[:, 1]]
+        values.append(int((distances <= evaluator.limit).sum()))
+    return values
+
+
+def _best_of_alternating(first, second, repeats: int):
+    """Best-of-*repeats* seconds of two callables, timed in alternation
+    after an untimed warm-up so host drift reaches both sides."""
+    first()
+    second()
+    best = [float("inf"), float("inf")]
+    for _ in range(repeats):
+        for side, fn in enumerate((first, second)):
+            start = time.perf_counter()
+            fn()
+            best[side] = min(best[side], time.perf_counter() - start)
+    return best
+
+
+def bench_point_eval(sizes=None) -> dict:
+    """Batched terminal-closure σ against a fresh engine per placement."""
+    entries = []
+    for n, m, k, p_t in sizes or POINT_EVAL_SIZES:
+        workload = rg_workload(seed=1, n=n)
+        instance = workload.instance(p_t, m=m, k=k, seed=(1, "bench"))
+        evaluator = SigmaEvaluator(instance)
+        placements = [
+            _trial_edges(trial_seed, instance.n, k)
+            for trial_seed in range(POINT_EVAL_PLACEMENTS)
+        ]
+        assert evaluator.value_many(placements) == _engine_values(
+            evaluator, placements
+        ), f"batched/engine sigma disagree at n={n}"
+        # The quick size runs in milliseconds; more repeats keep its
+        # best-of from reflecting scheduler jitter.
+        batched_s, engine_s = _best_of_alternating(
+            lambda: evaluator.value_many(placements),
+            lambda: _engine_values(evaluator, placements),
+            25 if n <= 50 else 10,
+        )
+        entries.append(
+            {
+                "n": instance.n,
+                "m": m,
+                "k": k,
+                "p_t": p_t,
+                "engine_s": round(engine_s, 6),
+                "batched_s": round(batched_s, 6),
+                "speedup": round(engine_s / batched_s, 3),
+            }
+        )
+    headline = entries[-1]
+    return {
+        "description": (
+            f"sigma at {POINT_EVAL_PLACEMENTS} random placements: one "
+            "batched terminal-closure call (value_many) vs a fresh "
+            "ShortcutDistanceEngine per placement, same process, equal "
+            "values asserted. quick = the fig1 quick size, headline = "
+            "paper scale (RG n=100, m=80, k=8)."
+        ),
+        "placements": POINT_EVAL_PLACEMENTS,
+        "sizes": entries,
+        "quick_n": entries[0]["n"],
+        "quick_speedup": entries[0]["speedup"],
+        "n": headline["n"],
+        "speedup": headline["speedup"],
     }
 
 
@@ -476,31 +577,31 @@ def bench_run_all_scaling(jobs: int) -> dict:
     identical = json.dumps(
         [r.to_json() for r, _ in serial], sort_keys=True
     ) == json.dumps([r.to_json() for r, _ in parallel], sort_keys=True)
-    speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
-    # Efficiency is speedup per *usable* worker: --jobs above the core
-    # count cannot add throughput, so normalizing by raw jobs on a small
-    # container under-reports the fan-out (a 1-core box would read as 25%
-    # efficient at --jobs 4 even when the pool overhead is negligible).
-    effective_jobs = max(1, min(jobs, os.cpu_count() or 1))
-    return {
+    assert identical, "parallel run_all diverged from serial"
+    cpu_count = os.cpu_count() or 1
+    entry = {
         "description": (
             "run_all-style fan-out over a balanced (experiment x seed) "
             "grid with shm-published workloads (warm start); "
-            "byte_identical compares serial vs parallel JSON. Efficiency "
-            "normalizes speedup by min(jobs, cpu_count) — wall-clock "
-            "speedup requires real cores."
+            "byte_identical compares serial vs parallel JSON. With fewer "
+            "cores than jobs no speedup is recorded (unmeasured); "
+            "efficiency is speedup / jobs."
         ),
         "jobs": jobs,
-        "cpu_count": os.cpu_count(),
-        "effective_jobs": effective_jobs,
+        "cpu_count": cpu_count,
         "warm_start": True,
         "tasks": len(tasks),
         "serial_s": round(serial_s, 4),
         "parallel_s": round(parallel_s, 4),
-        "speedup": round(speedup, 3),
-        "efficiency": round(speedup / effective_jobs, 3),
         "byte_identical": identical,
     }
+    if cpu_count < jobs:
+        entry["unmeasured"] = f"cpu_count={cpu_count}"
+    else:
+        speedup = serial_s / parallel_s
+        entry["speedup"] = round(speedup, 3)
+        entry["efficiency"] = round(speedup / jobs, 3)
+    return entry
 
 
 def main() -> int:
@@ -525,6 +626,7 @@ def main() -> int:
         ),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
+        "sigma_point_eval": bench_point_eval(),
         "fig1_greedy_path": bench_greedy_path(),
         "oracle_tiers": bench_oracle_tiers(),
         "serve_warm_cache": bench_serve_warm_cache(),

@@ -125,15 +125,13 @@ class AdaptiveEvolutionaryAlgorithm:
         evaluations = 0
         kept = list(edges)
         if kept:
-            # Remove the edge whose removal keeps σ highest.
-            best_idx, best_value = 0, -math.inf
-            for i in range(len(kept)):
-                reduced = kept[:i] + kept[i + 1 :]
-                value = float(self.sigma.value(reduced))
-                evaluations += 1
-                if value > best_value:
-                    best_idx, best_value = i, value
-            del kept[best_idx]
+            # Remove the edge whose removal keeps σ highest (the first
+            # one on ties); the k removals are scored in one batch.
+            values = self.sigma.value_many(
+                [kept[:i] + kept[i + 1 :] for i in range(len(kept))]
+            )
+            evaluations += len(kept)
+            del kept[int(np.argmax(values))]
         # Add the candidate maximizing σ(F ∪ {f'}).
         scores = np.asarray(
             self.sigma.add_candidates(kept), dtype=float

@@ -26,11 +26,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.problem import MSCInstance
+from repro.core.setfunction import PointwiseValueMany
 from repro.failure.models import satisfaction_limit
 from repro.types import IndexPair
 
 
-class MuFunction:
+class MuFunction(PointwiseValueMany):
     """Lower bound μ: each pair may be rescued by at most one shortcut edge.
 
     Precomputes, for every pair ``i``, the symmetric boolean matrix
@@ -101,7 +102,7 @@ class MuFunction:
         return acc
 
 
-class NuFunction:
+class NuFunction(PointwiseValueMany):
     """Upper bound ν: weighted maximum coverage over pair endpoints.
 
     The cover relation is precomputed as an ``(n, P)`` boolean matrix over

@@ -1,14 +1,23 @@
 """The σ objective: number of important social pairs maintained by F.
 
-:class:`SigmaEvaluator` is the exact objective of the MSC problem. A point
-evaluation checks each pair's augmented distance against the requirement
-using a :class:`~repro.graph.shortcuts.ShortcutDistanceEngine` for the
-shortcut set; engines are memoized in a small LRU keyed by the set, and a
-miss whose parent set ``F \\ {e}`` is cached derives the ``F`` engine
-incrementally (:meth:`ShortcutDistanceEngine.extended_by_index`) instead of
-rebuilding from the APSP matrix — the pattern every solver's hot loop
-follows (greedy rounds grow F one edge at a time; EA/AEA offspring differ
-from a pooled parent by one edge).
+:class:`SigmaEvaluator` is the exact objective of the MSC problem.
+
+A point evaluation reads only distances between the pair endpoints and the
+``t <= 2k`` endpoints ``T`` of F (its *terminals*), never an n-wide row.
+Gather the base distances from T to the endpoints of the pairs the base
+graph leaves unsatisfied and within T, set F's cells of the ``T × T`` block
+to 0 and close it under min-plus (Floyd–Warshall) into ``C``; then
+
+``d_F(u, w) = min(d(u, w), min over a, b in T of d(u, a) + C(a, b) + d(b, w))``
+
+— a path that uses a shortcut first enters one at ``a`` and last leaves one
+at ``b``, and between terminals it runs on base segments. Every segment of
+a path no longer than ``d_t`` is itself within ``d_t``, so a hub-label
+index cut off at the threshold is exact on every term that can satisfy a
+pair. :meth:`SigmaEvaluator.value_many` evaluates many placements in one
+numpy pass, in blocks of at most :data:`POINT_BLOCK_ELEMENTS`;
+:meth:`~SigmaEvaluator.satisfied` and :meth:`~SigmaEvaluator.value` are
+its one-placement case.
 
 The one-step lookahead scores every candidate edge at once: for an
 unsatisfied pair ``(u, w)``, the candidate ``(a, b)`` satisfies it iff
@@ -19,7 +28,11 @@ within ``d_t`` of the pair. σ's one scan therefore works over the
 base-distance ``d_t``-ball of the pair endpoints and placed shortcut
 endpoints (:meth:`SigmaEvaluator.candidate_universe`) and scatter-adds each
 pair's reduced mask into an ``(r, r)`` block (:class:`PairScanAccumulator`,
-chunked to bound peak memory).
+chunked to bound peak memory). The scan reads augmented rows from a
+:class:`~repro.graph.shortcuts.ShortcutDistanceEngine` for F; engines are
+memoized in the substrate's LRU, and a miss whose parent set ``F \\ {e}``
+is cached derives the engine incrementally (greedy rounds grow F one edge
+at a time).
 :meth:`~SigmaEvaluator.add_candidates_restricted` returns the block with
 its universe; :meth:`~SigmaEvaluator.add_candidates` expands it to
 ``(n, n)``, filling the zero-gain cells with ``σ(F)``.
@@ -27,6 +40,8 @@ its universe; :meth:`~SigmaEvaluator.add_candidates` expands it to
 
 from __future__ import annotations
 
+import math
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,11 +55,22 @@ from repro.core.substrate import (  # noqa: F401  (re-exported: historical home)
 )
 from repro.failure.models import satisfaction_limit
 from repro.graph.paths import ball_indices
-from repro.graph.shortcuts import ShortcutDistanceEngine
+from repro.graph.shortcuts import (
+    ShortcutDistanceEngine,
+    _floyd_warshall_closure,
+    check_shortcut_indices,
+)
 from repro.types import IndexPair
 
 #: Peak per-pair temporary size (elements) for the chunked candidate scan.
 DEFAULT_CHUNK_ELEMENTS = 1 << 22
+
+#: Peak temporary size (elements) of one batched point-evaluation block
+#: (:meth:`SigmaEvaluator.satisfied_many`): P placements with t terminals
+#: each hold ``P·t·(t + |U| + |S| + m)`` elements for the open pairs'
+#: m pairs, |S| endpoints and |U| first endpoints, and the block's terminal
+#: gather holds up to ``min(n, P·t)²``.
+POINT_BLOCK_ELEMENTS = 1 << 16
 
 
 class PairScanAccumulator:
@@ -168,8 +194,9 @@ class SigmaEvaluator:
 
     Args:
         instance: the MSC instance.
-        engine_cache_size: LRU capacity of the shortcut-engine memo; ``0``
-            disables engine reuse (every evaluation rebuilds from the APSP
+        engine_cache_size: LRU capacity of the shortcut-engine memo behind
+            the candidate scan (point evaluations use no engine); ``0``
+            disables engine reuse (every scan rebuilds from the APSP
             matrix). ``None`` (default) adopts the **shared** cache of the
             instance's :class:`~repro.core.substrate.Substrate` — every
             evaluator, planner session and served request over one
@@ -206,7 +233,23 @@ class SigmaEvaluator:
             for iu, iw in self._pairs
         ]
         self.base_sigma = sum(self.base_satisfied)
-        # Fixed index plumbing for the vectorized paths: the distinct pair
+        # Point-evaluation plumbing: only the pairs the base graph leaves
+        # unsatisfied ("open") can change. The kernel gathers distances
+        # from the terminals to their distinct endpoints (_open_sources);
+        # per open pair, the columns of its endpoints there, with the
+        # first endpoints deduplicated (_open_u, _open_u_slot).
+        self._base = np.array(self.base_satisfied, dtype=bool)
+        self._open = np.flatnonzero(~self._base)
+        ends = np.array(self._pairs, dtype=np.intp).reshape(-1, 2)
+        self._open_sources, columns = np.unique(
+            ends[self._open].ravel(), return_inverse=True
+        )
+        columns = columns.reshape(-1, 2)
+        self._open_u, self._open_u_slot = np.unique(
+            columns[:, 0], return_inverse=True
+        )
+        self._open_w = columns[:, 1]
+        # Fixed index plumbing for the candidate scan: the distinct pair
         # endpoints (query sources) and, per pair, the rows of its two
         # endpoints in the batched query result.
         self._sources = sorted({i for pair in self._pairs for i in pair})
@@ -221,19 +264,6 @@ class SigmaEvaluator:
         )
         self._pair_w_cols = np.array(
             [iw for _, iw in self._pairs], dtype=np.intp
-        )
-        # satisfied() only queries from first endpoints to second-endpoint
-        # columns; keep the smaller source set and the deduplicated column
-        # set for it (the column-restricted engine query never touches an
-        # n-wide row — label-sliced on the hub tier).
-        self._u_sources = sorted({iu for iu, _ in self._pairs})
-        u_row_of = {s: i for i, s in enumerate(self._u_sources)}
-        self._pair_u_only_rows = np.array(
-            [u_row_of[iu] for iu, _ in self._pairs], dtype=np.intp
-        )
-        self._w_columns = np.unique(self._pair_w_cols)
-        self._pair_w_slots = np.searchsorted(
-            self._w_columns, self._pair_w_cols
         )
         # The d_t-ball of the pair endpoints, built on the first scan: it
         # depends only on the instance, so later scans add just the balls
@@ -259,18 +289,95 @@ class SigmaEvaluator:
 
     def satisfied(self, edges: Sequence[IndexPair]) -> List[bool]:
         """Per-pair satisfaction flags under shortcut set *edges*."""
-        if not edges:
-            return list(self.base_satisfied)
-        engine = self._engine(edges)
-        rows = engine.distances_from_indices_to(
-            self._u_sources, self._w_columns
-        )
-        distances = rows[self._pair_u_only_rows, self._pair_w_slots]
-        return (distances <= self.limit).tolist()
+        return self.satisfied_many([edges])[0].tolist()
 
     def value(self, edges: Sequence[IndexPair]) -> int:
         """σ(F): the number of maintained social pairs."""
-        return sum(self.satisfied(edges))
+        return self.value_many([edges])[0]
+
+    def value_many(
+        self, placements: Sequence[Sequence[IndexPair]]
+    ) -> List[int]:
+        """σ(F) for every F in *placements*, in one batched pass."""
+        counts = self.satisfied_many(placements).sum(axis=1)
+        return [int(count) for count in counts]
+
+    def satisfied_many(
+        self, placements: Sequence[Sequence[IndexPair]]
+    ) -> np.ndarray:
+        """``(len(placements), m)`` boolean satisfaction flags: the
+        terminal-closure kernel (module docs).
+
+        Placements may differ in size; blocks of them are evaluated
+        together, padded to the largest terminal count t.
+        """
+        placements = [list(edges) for edges in placements]
+        check_shortcut_indices(chain.from_iterable(placements), self.n)
+        flags = np.repeat(self._base[None, :], len(placements), axis=0)
+        terminals = [
+            sorted({i for edge in edges for i in edge}) for edges in placements
+        ]
+        t = max(map(len, terminals), default=0)
+        if t == 0 or self._open.size == 0:
+            return flags
+        active = [p for p, nodes in enumerate(terminals) if nodes]
+        step = POINT_BLOCK_ELEMENTS // (
+            t
+            * (
+                t
+                + self._open_u.size
+                + self._open_sources.size
+                + self._open.size
+            )
+        )
+        side = math.isqrt(POINT_BLOCK_ELEMENTS)
+        if self.n > side:
+            step = min(step, side // t)
+        step = max(step, 1)
+        oracle = self.instance.oracle
+        for lo in range(0, len(active), step):
+            block = active[lo : lo + step]
+            nodes = sorted(set().union(*(terminals[p] for p in block)))
+            r = len(nodes)
+            local = {node: i for i, node in enumerate(nodes)}
+            # A placement with fewer than t terminals repeats its first
+            # one: a copy sits at distance 0 from the original, so the
+            # closure and every sum through it are unchanged.
+            slots = []
+            zeros = []
+            for row, p in enumerate(block):
+                own = [local[node] for node in terminals[p]]
+                slots.append(own + own[:1] * (t - len(own)))
+                slot = {node: j for j, node in enumerate(terminals[p])}
+                zeros.extend((row, slot[a], slot[b]) for a, b in placements[p])
+            slots = np.array(slots, dtype=np.intp)
+            zeros = np.array(zeros, dtype=np.intp)
+            gathered = oracle.rows_to(
+                nodes, np.concatenate((nodes, self._open_sources))
+            )
+            # hops[p, a, b]: base distance of the hop a -> b, read from
+            # b's row like the engine's supernode table; 0 along F.
+            hops = gathered[:, :r].T[slots[:, :, None], slots[:, None, :]]
+            hops[zeros[:, 0], zeros[:, 1], zeros[:, 2]] = 0.0
+            hops[zeros[:, 0], zeros[:, 2], zeros[:, 1]] = 0.0
+            closure = _floyd_warshall_closure(hops)
+            terminal_rows = gathered[:, r:][slots]  # (P, t, |S|)
+            # reach[p, b, u] = min over a of d(a, u) + C(a, b), folded in
+            # one terminal a at a time to keep the block at P·t·|U|.
+            entry = terminal_rows[:, :, self._open_u]
+            reach = entry[:, 0, None, :] + closure[:, 0, :, None]
+            step_a = np.empty_like(reach)
+            for a in range(1, t):
+                np.add(
+                    entry[:, a, None, :], closure[:, a, :, None], out=step_a
+                )
+                np.minimum(reach, step_a, out=reach)
+            via = (
+                reach[:, :, self._open_u_slot]
+                + terminal_rows[:, :, self._open_w]
+            ).min(axis=1)
+            flags[np.array(block)[:, None], self._open] = via <= self.limit
+        return flags
 
     # ------------------------------------------------------ candidate scan
 

@@ -40,18 +40,22 @@ def _trial_edges(trial_seed: int, n: int, k: int) -> List[IndexPair]:
     return sorted(chosen)
 
 
+def _evaluate_trials(
+    sigma_fn: SetFunctionProtocol, trial_seeds: Sequence[int], k: int
+) -> List[Tuple[float, List[IndexPair]]]:
+    """Draw every trial's placement, then evaluate them in one batch."""
+    placements = [_trial_edges(ts, sigma_fn.n, k) for ts in trial_seeds]
+    values = sigma_fn.value_many(placements)
+    return [(float(value), edges) for value, edges in zip(values, placements)]
+
+
 def _trial_batch(
     task: Tuple[MSCInstance, Sequence[int], int]
 ) -> List[Tuple[float, List[IndexPair]]]:
     """Evaluate a batch of trials (module-level so it can cross processes;
     the worker builds its own evaluator)."""
     instance, trial_seeds, k = task
-    sigma_fn = SigmaEvaluator(instance)
-    n = sigma_fn.n
-    return [
-        (float(sigma_fn.value(edges)), edges)
-        for edges in (_trial_edges(ts, n, k) for ts in trial_seeds)
-    ]
+    return _evaluate_trials(SigmaEvaluator(instance), trial_seeds, k)
 
 
 def solve_random_baseline(
@@ -95,10 +99,7 @@ def solve_random_baseline(
         )
         evaluated = [item for batch in batches for item in batch]
     else:
-        evaluated = [
-            (float(sigma_fn.value(edges)), edges)
-            for edges in (_trial_edges(ts, n, k) for ts in trial_seeds)
-        ]
+        evaluated = _evaluate_trials(sigma_fn, trial_seeds, k)
 
     best_edges: List[IndexPair] = []
     best_value = float(sigma_fn.value([]))

@@ -42,11 +42,28 @@ class SetFunctionProtocol(Protocol):
         """Function value for the given shortcut edge set."""
         ...
 
+    def value_many(
+        self, placements: Sequence[Sequence[IndexPair]]
+    ) -> List[float]:
+        """``[value(edges) for edges in placements]``, possibly batched
+        (σ evaluates a whole population in one pass)."""
+        ...
+
     def add_candidates(self, edges: Sequence[IndexPair]) -> np.ndarray:
         """``(n, n)`` array whose ``[a, b]`` entry is
         ``value(edges + [(a, b)])``; the diagonal holds ``value(edges)``
         (adding a self-loop is a no-op). The array is symmetric."""
         ...
+
+
+class PointwiseValueMany:
+    """``value_many`` as a loop over ``value``, for set functions whose
+    point evaluation has no batched form (μ and ν)."""
+
+    def value_many(
+        self, placements: Sequence[Sequence[IndexPair]]
+    ) -> List[float]:
+        return [self.value(edges) for edges in placements]
 
 
 class SumSetFunction:
@@ -77,6 +94,13 @@ class SumSetFunction:
 
     def value(self, edges: Sequence[IndexPair]) -> float:
         return sum(term.value(edges) for term in self._terms)
+
+    def value_many(
+        self, placements: Sequence[Sequence[IndexPair]]
+    ) -> List[float]:
+        placements = [list(edges) for edges in placements]
+        batches = [term.value_many(placements) for term in self._terms]
+        return [sum(values) for values in zip(*batches)]
 
     def add_candidates(self, edges: Sequence[IndexPair]) -> np.ndarray:
         total = self._terms[0].add_candidates(edges).astype(float)

@@ -27,6 +27,7 @@ import numpy as np
 from repro.core.bounds import MuFunction, NuFunction
 from repro.core.evaluator import SigmaEvaluator, expand_scores
 from repro.core.problem import MSCInstance
+from repro.core.setfunction import PointwiseValueMany
 from repro.exceptions import InstanceError
 from repro.types import IndexPair
 from repro.util.validation import check_nonnegative
@@ -65,8 +66,14 @@ class WeightedSigmaEvaluator:
         return self._sigma.satisfied(edges)
 
     def value(self, edges: Sequence[IndexPair]) -> float:
-        flags = np.array(self._sigma.satisfied(edges), dtype=bool)
-        return float(self.weights @ flags)
+        return self.value_many([edges])[0]
+
+    def value_many(
+        self, placements: Sequence[Sequence[IndexPair]]
+    ) -> List[float]:
+        """Weighted σ of every placement, from σ's batched flags."""
+        flags = self._sigma.satisfied_many(placements)
+        return [float(self.weights @ row) for row in flags]
 
     def add_candidates(self, edges: Sequence[IndexPair]) -> np.ndarray:
         """Weighted one-step lookahead: σ's candidate scan with per-pair
@@ -76,7 +83,7 @@ class WeightedSigmaEvaluator:
         return expand_scores(scores, universe, self.n)
 
 
-class WeightedMuFunction:
+class WeightedMuFunction(PointwiseValueMany):
     """Weighted lower bound: μ with per-pair weights."""
 
     is_submodular = True
@@ -110,7 +117,7 @@ class WeightedMuFunction:
         return acc
 
 
-class WeightedNuFunction:
+class WeightedNuFunction(PointwiseValueMany):
     """Weighted upper bound: coverage with pair-weight-scaled node weights.
 
     A node's weight is half the sum of the weights of the pairs it appears

@@ -10,7 +10,8 @@ Oracle protocol
 
 Distance consumers (the shortcut engine, the σ evaluator, the solvers) are
 written against the *row* accessors — ``row_by_index``, ``rows``,
-``distance_by_index`` — never against a full square matrix. That is what
+``rows_to`` (a sources × columns block), ``distance_by_index`` — never
+against a full square matrix. That is what
 lets :class:`~repro.graph.sparse_oracle.SparseRowOracle` slot in behind the
 same call sites with an ``r × n`` row block (``r ≪ n``) instead of the
 O(n²) matrix. ``matrix`` remains available on both tiers for legacy
@@ -118,6 +119,14 @@ class DistanceOracle:
         """Distances from each of *indices* to every node, as a
         ``(len(indices), n)`` block (a fresh array; safe to keep)."""
         return self.matrix[np.asarray(indices, dtype=np.intp), :]
+
+    def rows_to(
+        self, sources: Sequence[int], columns: Sequence[int]
+    ) -> np.ndarray:
+        """Distances from each of *sources* to each of *columns*, as a
+        ``(len(sources), len(columns))`` array (a fresh array)."""
+        src = np.asarray(sources, dtype=np.intp)
+        return self.matrix[src[:, None], np.asarray(columns, dtype=np.intp)]
 
     def number_of_nodes(self) -> int:
         return self._graph.number_of_nodes()

@@ -31,14 +31,35 @@ ShortcutPair = Tuple[Node, Node]
 
 
 def _floyd_warshall_closure(matrix: np.ndarray) -> np.ndarray:
-    """Min-plus shortest-path closure of a small dense matrix (diag = 0)."""
+    """Min-plus shortest-path closure (diag = 0) of a small dense matrix,
+    or of every matrix in a ``(..., c, c)`` stack at once."""
     closure = matrix.copy()
-    np.fill_diagonal(closure, 0.0)
-    c = closure.shape[0]
+    c = closure.shape[-1]
+    diagonal = np.arange(c)
+    closure[..., diagonal, diagonal] = 0.0
+    via = np.empty_like(closure)
     for mid in range(c):
-        via = closure[:, mid : mid + 1] + closure[mid : mid + 1, :]
+        np.add(
+            closure[..., :, mid : mid + 1],
+            closure[..., mid : mid + 1, :],
+            out=via,
+        )
         np.minimum(closure, via, out=closure)
     return closure
+
+
+def check_shortcut_indices(
+    index_pairs: Iterable[Tuple[int, int]], n: int
+) -> None:
+    """Raise :class:`GraphError` at the first self-loop or out-of-range
+    shortcut index pair."""
+    for iu, iv in index_pairs:
+        if iu == iv:
+            raise GraphError(f"shortcut self-loop on index {iu}")
+        if not (0 <= iu < n and 0 <= iv < n):
+            raise GraphError(
+                f"shortcut index pair ({iu}, {iv}) out of range for n={n}"
+            )
 
 
 class ShortcutDistanceEngine:
@@ -80,15 +101,10 @@ class ShortcutDistanceEngine:
         index_pairs: List[Tuple[int, int]],
     ) -> None:
         self._oracle = oracle
-        n = oracle.number_of_nodes()
+        check_shortcut_indices(index_pairs, oracle.number_of_nodes())
         self._shortcuts: List[Tuple[int, int]] = []
         uf = UnionFind()
         for iu, iv in index_pairs:
-            if iu == iv:
-                raise GraphError(f"shortcut self-loop on index {iu}")
-            if not (0 <= iu < n and 0 <= iv < n):
-                raise GraphError(f"shortcut index pair ({iu}, {iv}) "
-                                 f"out of range for n={n}")
             self._shortcuts.append((iu, iv))
             uf.union(iu, iv)
         components = uf.components()
@@ -103,8 +119,7 @@ class ShortcutDistanceEngine:
             self._inter = np.empty((0, 0))
             self._closure = np.empty((0, 0))
             return
-        rows_to = getattr(oracle, "rows_to", None)
-        if rows_to is not None:
+        if getattr(oracle, "prefers_ball_universe", False):
             # Lazy tables (hub-label tier): never materialize the (c, n)
             # comp_min block. F is tiny, so the inter-supernode matrix is
             # a handful of label-sliced set-to-set queries, and the
@@ -117,7 +132,7 @@ class ShortcutDistanceEngine:
                 inter[a, a] = 0.0
                 for b in range(a + 1, c):
                     value = float(
-                        rows_to(
+                        oracle.rows_to(
                             self._components[a], self._components[b]
                         ).min()
                     )
@@ -194,12 +209,7 @@ class ShortcutDistanceEngine:
         self, iu: int, iv: int
     ) -> "ShortcutDistanceEngine":
         """Index-space :meth:`extended` (fast path for the σ evaluator)."""
-        n = self._oracle.number_of_nodes()
-        if iu == iv:
-            raise GraphError(f"shortcut self-loop on index {iu}")
-        if not (0 <= iu < n and 0 <= iv < n):
-            raise GraphError(f"shortcut index pair ({iu}, {iv}) "
-                             f"out of range for n={n}")
+        check_shortcut_indices([(iu, iv)], self._oracle.number_of_nodes())
         child = ShortcutDistanceEngine.__new__(ShortcutDistanceEngine)
         child._oracle = self._oracle
         child._shortcuts = self._shortcuts + [(iu, iv)]
@@ -220,12 +230,11 @@ class ShortcutDistanceEngine:
             return child
 
         oracle = self._oracle
-        rows_to = getattr(oracle, "rows_to", None)
         # A lazy parent stays lazy: the touched inter row/column comes
         # from label-sliced set-to-set queries, and no comp_min rows are
         # carried at all. (A parent whose comp_min was materialized by a
         # full-width query keeps the materialized update path.)
-        lazy = rows_to is not None and self._comp_min is None
+        lazy = self._comp_min is None
         components = [list(m) for m in self._components]
         comp_min_rows = None if lazy else list(self._comp_min)
         if comp_u < 0 and comp_v < 0:
@@ -278,7 +287,7 @@ class ShortcutDistanceEngine:
         if lazy:
             touched_row = np.array(
                 [
-                    float(rows_to(touched_members, members).min())
+                    float(oracle.rows_to(touched_members, members).min())
                     for members in child._components
                 ]
             )
@@ -368,15 +377,9 @@ class ShortcutDistanceEngine:
         """
         src = np.asarray(sources, dtype=np.intp)
         cols = np.asarray(columns, dtype=np.intp)
-        rows_to = getattr(self._oracle, "rows_to", None)
-        if rows_to is not None:
-            # Label-sliced base block: work scales with the requested
-            # labels, never with n.
-            out = rows_to(src, cols)
-        else:
-            out = np.empty((src.size, cols.size))
-            for i, s in enumerate(src):
-                out[i] = self._oracle.row_by_index(int(s))[cols]
+        # Every tier gathers the base block directly (label-sliced on the
+        # hub tier: work scales with the requested labels, never with n).
+        out = self._oracle.rows_to(src, cols)
         if not self._components:
             return out
         entry = self._comp_block(src)  # (c, s): cost to reach supernodes

@@ -194,6 +194,28 @@ class SparseRowOracle:
             return self.block[np.asarray(slots, dtype=np.intp), :]
         return np.vstack([self.row_by_index(int(i)) for i in idx])
 
+    def rows_to(
+        self, sources: Sequence[int], columns: Sequence[int]
+    ) -> np.ndarray:
+        """Distances from each of *sources* to each of *columns*, as a
+        ``(len(sources), len(columns))`` array (a fresh array).
+
+        Block rows are gathered directly; straggler rows are computed
+        (and cached) only for sources outside the block.
+        """
+        src = np.asarray(sources, dtype=np.intp)
+        cols = np.asarray(columns, dtype=np.intp)
+        slots = np.array(
+            [self._slot_of.get(int(i), -1) for i in src], dtype=np.intp
+        )
+        inside = slots >= 0
+        out = np.empty((src.size, cols.size))
+        if inside.any():
+            out[inside] = self.block[np.ix_(slots[inside], cols)]
+        for i in np.flatnonzero(~inside):
+            out[i] = self.row_by_index(int(src[i]))[cols]
+        return out
+
     def distance_by_index(self, iu: int, iv: int) -> float:
         """Base-graph distance between dense indices *iu* and *iv* (either
         endpoint's row may serve the query — distances are symmetric)."""

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.aea import AdaptiveEvolutionaryAlgorithm
 from repro.core.bounds import MuFunction, NuFunction
 from repro.core.evaluator import SigmaEvaluator
+from repro.core.greedy import greedy_placement
 from repro.core.problem import MSCInstance
+from repro.core.random_baseline import solve_random_baseline
 from tests.conftest import path_graph
 from tests.core.helpers import all_candidate_edges, random_instance
 
@@ -133,6 +136,76 @@ class TestSandwichProperty:
             s = sigma.value(edges)
             assert mu.value(edges) <= s
             assert s <= nu.value(edges) + 1e-9
+
+
+class _RecordingSigma:
+    """σ that records every placement a solver passes to it."""
+
+    def __init__(self, sigma):
+        self._sigma = sigma
+        self.points = []
+        self.scans = []
+
+    @property
+    def n(self):
+        return self._sigma.n
+
+    def value(self, edges):
+        self.points.append(list(edges))
+        return self._sigma.value(edges)
+
+    def value_many(self, placements):
+        placements = [list(edges) for edges in placements]
+        self.points.extend(placements)
+        return self._sigma.value_many(placements)
+
+    def add_candidates(self, edges):
+        self.scans.append(list(edges))
+        return self._sigma.add_candidates(edges)
+
+    def satisfied(self, edges):
+        return self._sigma.satisfied(edges)
+
+
+class TestSandwichWhereSolversLook:
+    """μ(F) <= σ(F) <= ν(F) at every F greedy, AEA and the random
+    baseline pass to σ — point evaluations, and every cell F ∪ {e} of a
+    candidate scan."""
+
+    @pytest.mark.parametrize("seed", [3, 17, 58, 211])
+    def test_bounds_hold_at_visited_placements(self, seed):
+        instance = random_instance(seed, n_range=(8, 14), k=3)
+        sigma = SigmaEvaluator(instance)
+        mu = MuFunction(instance)
+        nu = NuFunction(instance)
+        recorder = _RecordingSigma(sigma)
+
+        assert greedy_placement(recorder, instance.k) == greedy_placement(
+            sigma, instance.k
+        )
+        solved = AdaptiveEvolutionaryAlgorithm(
+            instance, iterations=25, sigma=recorder, seed=seed
+        ).solve()
+        reference = AdaptiveEvolutionaryAlgorithm(
+            instance, iterations=25, seed=seed
+        ).solve()
+        assert solved.edges == reference.edges
+        assert solved.evaluations == reference.evaluations
+        baseline = solve_random_baseline(
+            instance, seed=seed, trials=30, sigma=recorder
+        )
+        assert baseline.edges == solve_random_baseline(
+            instance, seed=seed, trials=30
+        ).edges
+
+        assert len(recorder.points) >= 30 and recorder.scans
+        for edges in recorder.points:
+            value = sigma.value(edges)
+            assert mu.value(edges) <= value <= nu.value(edges) + 1e-9
+        for edges in recorder.scans:
+            scores = sigma.add_candidates(edges)
+            assert np.all(mu.add_candidates(edges) <= scores)
+            assert np.all(scores <= nu.add_candidates(edges) + 1e-9)
 
 
 class TestSubmodularity:

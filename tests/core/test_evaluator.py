@@ -1,16 +1,24 @@
 """Tests for repro.core.evaluator (σ) — exactness against brute force and
 internal consistency of the vectorized candidate scan."""
 
+import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.evaluator as evaluator_module
 from repro.core.evaluator import SigmaEvaluator
 from repro.core.problem import MSCInstance
 from repro.core.weighted import WeightedSigmaEvaluator
+from repro.exceptions import GraphError
+from repro.failure.models import satisfaction_limit
+from repro.graph.hub_labels import HubLabelOracle
+from repro.graph.paths import dijkstra
+from repro.netgen.general import barabasi_albert_network
 from repro.netgen.geometric import random_geometric_network
 from repro.netgen.pairs import sample_important_pairs
 from tests.conftest import path_graph
@@ -229,6 +237,154 @@ class TestSingleScan:
             )
 
 
+@st.composite
+def kernel_cases(draw):
+    """A small RG, BA or path graph with zero-length edges and an isolated
+    node; pairs that include one exactly at d_t and a disconnected one;
+    and shortcut sets that chain, repeat an edge, cover an existing link,
+    start at a pair endpoint or reach outside the pairs' d_t-ball."""
+    kind = draw(st.sampled_from(["rg", "ba", "path"]))
+    seed = draw(st.integers(0, 10_000))
+    rng = random.Random(seed)
+    if kind == "rg":
+        graph = random_geometric_network(
+            draw(st.integers(8, 28)), radius=0.35,
+            max_link_failure=0.2, seed=seed,
+        ).graph
+    elif kind == "ba":
+        graph = barabasi_albert_network(
+            draw(st.integers(5, 24)), 2,
+            failure_range=(0.01, 0.2), seed=seed,
+        )
+    else:
+        graph = path_graph(
+            [rng.choice([0.0, 0.05, 0.1, 0.25])
+             for _ in range(draw(st.integers(3, 20)))]
+        )
+    links = graph.edges
+    for u, v, _ in rng.sample(links, min(len(links), 2)):
+        graph.add_edge(u, v, length=0.0)
+    nodes = graph.nodes
+    isolated = max(nodes) + 1
+    graph.add_node(isolated)
+
+    pairs = [tuple(rng.sample(nodes, 2)) for _ in range(rng.randint(1, 6))]
+    at_threshold = pairs[0]
+    d_t = dijkstra(graph, at_threshold[0])[at_threshold[1]]
+    pairs.append((rng.choice(nodes), isolated))
+
+    size = graph.number_of_nodes()
+    index = graph.node_index
+    pair_ends = [index(x) for pair in pairs for x in pair]
+    placements = []
+    for _ in range(draw(st.integers(1, 6))):
+        edges = []
+        for _ in range(rng.randint(0, 4)):
+            move = rng.choice(["random", "chain", "repeat", "link", "pair"])
+            if move == "chain" and edges:
+                a = rng.choice(edges)[rng.randrange(2)]
+                b = rng.choice([i for i in range(size) if i != a])
+            elif move == "repeat" and edges:
+                a, b = rng.choice(edges)
+            elif move == "link":
+                u, v, _ = rng.choice(links)
+                a, b = index(u), index(v)
+            elif move == "pair":
+                a = rng.choice(pair_ends)
+                b = rng.choice([i for i in range(size) if i != a])
+            else:
+                a, b = rng.sample(range(size), 2)
+            edges.append((min(a, b), max(a, b)))
+        placements.append(edges)
+    return graph, pairs, d_t, placements
+
+
+def _dijkstra_flags(graph, pairs, d_t, edges):
+    """Per-pair flags from plain Dijkstra on G' = (V, E ∪ F)."""
+    augmented = graph.copy()
+    for a, b in edges:
+        augmented.add_edge(
+            graph.index_node(a), graph.index_node(b), length=0.0
+        )
+    limit = satisfaction_limit(d_t)
+    return [
+        dijkstra(augmented, u).get(w, math.inf) <= limit for u, w in pairs
+    ]
+
+
+def _kernel_oracles(graph):
+    """Oracle arguments for every tier, the hub tier both full and cut
+    off at the instance's threshold."""
+    return {
+        "dense": "dense",
+        "sparse": "sparse",
+        "hub-full": HubLabelOracle(graph),
+        "hub-cutoff": "hub",
+    }
+
+
+class TestPointKernel:
+    """The terminal-closure kernel against Dijkstra on the augmented graph,
+    on every oracle tier, and ``value_many`` against ``value``."""
+
+    @given(case=kernel_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dijkstra_on_every_tier(self, case):
+        graph, pairs, d_t, placements = case
+        expected = [
+            _dijkstra_flags(graph, pairs, d_t, edges) for edges in placements
+        ]
+        for tier, oracle in _kernel_oracles(graph).items():
+            instance = MSCInstance(
+                graph, pairs, k=4, d_threshold=d_t, oracle=oracle,
+                require_initially_unsatisfied=False,
+            )
+            evaluator = SigmaEvaluator(instance)
+            for edges, flags in zip(placements, expected):
+                assert evaluator.satisfied(edges) == flags, (tier, edges)
+            values = [sum(flags) for flags in expected]
+            assert evaluator.value_many(placements) == values, tier
+
+    @given(case=kernel_cases(), extra=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_value_many_equals_value(self, case, extra):
+        """Mixed sizes, empty placements, and more placements than one
+        block holds (both at the module bound and with one placement per
+        block)."""
+        graph, pairs, d_t, placements = case
+        instance = MSCInstance(
+            graph, pairs, k=4, d_threshold=d_t,
+            require_initially_unsatisfied=False,
+        )
+        evaluator = SigmaEvaluator(instance)
+        rng = random.Random(extra)
+        batch = placements + [[]]
+        while len(batch) < 300:
+            size = rng.randint(0, 5)
+            batch.append(
+                [tuple(sorted(rng.sample(range(instance.n), 2)))
+                 for _ in range(size)]
+            )
+        rng.shuffle(batch)
+        one_by_one = [evaluator.value(edges) for edges in batch]
+        assert evaluator.value_many(batch) == one_by_one
+        with mock.patch.object(evaluator_module, "POINT_BLOCK_ELEMENTS", 1):
+            assert evaluator.value_many(batch) == one_by_one
+        assert evaluator.value_many([]) == []
+
+    def test_invalid_shortcuts_raise(self, tiny_instance):
+        evaluator = SigmaEvaluator(tiny_instance)
+        n = evaluator.n
+        with pytest.raises(GraphError, match="self-loop"):
+            evaluator.value([(1, 1)])
+        with pytest.raises(GraphError, match="self-loop"):
+            evaluator.value_many([[(0, 1)], [(0, 2), (2, 2)]])
+        with pytest.raises(GraphError, match="out of range"):
+            evaluator.satisfied([(0, n)])
+        with pytest.raises(GraphError, match="out of range"):
+            evaluator.value_many([[], [(-1, 2)]])
+
+
 class TestPairScanAccumulator:
     @given(
         n=st.integers(1, 30),
@@ -314,12 +470,16 @@ class TestEngineCache:
         assert len(cache._store) == 2
 
     def test_cached_values_are_correct(self, tiny_instance):
-        """Engine reuse must not change σ: compare against a cache-free
+        """Engine reuse must not change the candidate scan (the one σ
+        path that still reads engines): compare against a cache-free
         evaluator on a growing set (the greedy pattern)."""
         with_cache = SigmaEvaluator(tiny_instance, engine_cache_size=128)
         without = SigmaEvaluator(tiny_instance, engine_cache_size=0)
         edges = []
         for edge in [(0, 4), (1, 3), (0, 3)]:
             edges.append(edge)
-            assert with_cache.value(edges) == without.value(edges)
+            assert np.array_equal(
+                with_cache.add_candidates(edges),
+                without.add_candidates(edges),
+            )
         assert with_cache.engine_cache.extensions >= 1
