@@ -19,7 +19,7 @@ iteration budget grows (paper Figs. 3–4).
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -163,6 +163,18 @@ class AdaptiveEvolutionaryAlgorithm:
     # ------------------------------------------------------------------- run
 
     def solve(self, k: Optional[int] = None) -> PlacementResult:
+        """Run Algorithm 2 and return the best placement found.
+
+        The greedy swap draws no random numbers, so its offspring is a
+        function of the parent alone. Once the pool settles the same parent
+        is swapped again and again; each greedy swap is therefore computed
+        once per distinct parent and replayed from a memo local to this
+        call (at most ``iterations`` entries of k edges). The parent pick
+        and the greedy-or-random coin are drawn before the lookup, so the
+        random stream is unchanged. ``evaluations`` counts the algorithm's
+        logical evaluations: a replayed swap adds the cost it had when it
+        was computed, so the result equals a memo-free run's.
+        """
         budget = self.instance.k if k is None else k
         if budget == 0:
             # The swap operators maintain exactly-k placements and always
@@ -195,11 +207,20 @@ class AdaptiveEvolutionaryAlgorithm:
         evaluations = 1
         best: Individual = pool[0]
         trace: List[int] = [int(best[1])]
+        # parent edges -> (child edges, σ, cost) of its greedy swap
+        greedy_swaps: Dict[
+            Tuple[IndexPair, ...], Tuple[Tuple[IndexPair, ...], float, int]
+        ] = {}
 
         for _ in range(self.iterations):
             parent = pool[self._rng.randrange(len(pool))]
             if self._rng.random() <= 1.0 - self.delta:
-                child_edges, child_value, cost = self._greedy_swap(parent[0])
+                key = tuple(parent[0])
+                if key not in greedy_swaps:
+                    edges, value, cost = self._greedy_swap(parent[0])
+                    greedy_swaps[key] = (tuple(edges), value, cost)
+                swapped, child_value, cost = greedy_swaps[key]
+                child_edges = list(swapped)
             else:
                 child_edges, child_value, cost = self._random_swap(parent[0])
             evaluations += cost

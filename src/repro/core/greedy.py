@@ -125,3 +125,36 @@ def greedy_placement(
         # own, so two rounds' arrays never coexist at peak.
         scores = block = None
     return placed
+
+
+class GreedyPrefix:
+    """Greedy placements of one set function at any budget, each round run
+    once.
+
+    A greedy round depends only on the edges already placed and on the set
+    function; the budget only bounds the loop. So
+    ``greedy_placement(fn, K)[:k] == greedy_placement(fn, k)`` for every
+    ``k <= K``, and extending a budget-k placement through ``existing=``
+    gives the budget-K one, early stops included. :meth:`placement` keeps
+    the longest placement computed so far and slices or extends it, so a
+    budget sweep asked for in any order costs one greedy run at its largest
+    budget.
+    """
+
+    def __init__(self, fn: SetFunctionProtocol) -> None:
+        self.fn = fn
+        self._placed: List[IndexPair] = []
+        self._budget = 0  # largest budget computed so far
+
+    def placement(self, k: int) -> List[IndexPair]:
+        """``greedy_placement(fn, k)``, reusing the rounds already run."""
+        check_nonnegative_int(k, "k")
+        if k > self._budget:
+            # A placement shorter than its budget stopped early, and a
+            # larger budget stops at the same edges.
+            if len(self._placed) == self._budget:
+                self._placed = greedy_placement(
+                    self.fn, k, existing=self._placed
+                )
+            self._budget = k
+        return self._placed[:k]

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.bounds import NuFunction
 from repro.core.evaluator import SigmaEvaluator
-from repro.core.greedy import greedy_placement
+from repro.core.greedy import GreedyPrefix, greedy_placement
 from repro.core.problem import MSCInstance
 
 APPROX_FACTOR = 1.0 - 1.0 / math.e
@@ -51,13 +51,19 @@ def sandwich_ratio(
 ) -> RatioReport:
     """Compute ``σ(F_ν)/ν(F_ν)`` for *instance* at budget *k*.
 
-    The ν-greedy solution is recomputed per call; pass pre-built *sigma* /
-    *nu* functions to amortize setup across a grid of budgets.
+    The ν-greedy solution is computed per call; pass pre-built *sigma* /
+    *nu* functions to share their setup between calls. A sweep over many
+    budgets of one instance is :func:`ratio_grid`'s job: it runs ν-greedy
+    once, at the largest budget.
     """
     budget = instance.k if k is None else k
     sigma_fn = sigma if sigma is not None else SigmaEvaluator(instance)
     nu_fn = nu if nu is not None else NuFunction(instance)
-    f_nu = greedy_placement(nu_fn, budget)
+    return _ratio_at(sigma_fn, nu_fn, greedy_placement(nu_fn, budget), budget)
+
+
+def _ratio_at(sigma_fn, nu_fn, f_nu, k: int) -> RatioReport:
+    """The ratio report of the ν-greedy placement *f_nu* at budget *k*."""
     nu_value = float(nu_fn.value(f_nu))
     sigma_value = float(sigma_fn.value(f_nu))
     ratio = 1.0 if nu_value <= 0 else sigma_value / nu_value
@@ -65,7 +71,7 @@ def sandwich_ratio(
         ratio=ratio,
         sigma_value=sigma_value,
         nu_value=nu_value,
-        k=budget,
+        k=k,
     )
 
 
@@ -100,9 +106,12 @@ def ratio_grid(
             instance = instance_factory(p_t, draw)
             sigma_fn = SigmaEvaluator(instance)
             nu_fn = NuFunction(instance)
+            # Every budget's ν-greedy placement is a prefix of the largest
+            # budget's, so ν-greedy runs once per instance.
+            nu_greedy = GreedyPrefix(nu_fn)
             for i, k in enumerate(budgets):
-                report = sandwich_ratio(
-                    instance, k, sigma=sigma_fn, nu=nu_fn
+                report = _ratio_at(
+                    sigma_fn, nu_fn, nu_greedy.placement(k), k
                 )
                 accumulators[i][0] += report.ratio
                 accumulators[i][1] += report.sigma_value

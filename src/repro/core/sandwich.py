@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from repro.core.bounds import MuFunction, NuFunction
 from repro.core.evaluator import SigmaEvaluator
-from repro.core.greedy import greedy_placement
+from repro.core.greedy import GreedyPrefix
 from repro.core.problem import MSCInstance
 from repro.core.setfunction import SetFunctionProtocol
 from repro.types import IndexPair, PlacementResult
@@ -40,6 +40,11 @@ class SandwichApproximation:
     The constructor accepts pre-built σ/μ/ν functions so the dynamic-network
     adapter (``repro.dynamics``) can substitute summed variants; by default
     the static functions for *instance* are built.
+
+    The three greedy runs are kept between calls: a smaller budget's
+    placement is a prefix of a larger one's (:class:`GreedyPrefix`), so a
+    budget sweep over one object costs one greedy run per function at the
+    largest budget, whatever order the budgets come in.
     """
 
     def __init__(
@@ -54,13 +59,16 @@ class SandwichApproximation:
         self.sigma = sigma if sigma is not None else SigmaEvaluator(instance)
         self.mu = mu if mu is not None else MuFunction(instance)
         self.nu = nu if nu is not None else NuFunction(instance)
+        self._mu_greedy = GreedyPrefix(self.mu)
+        self._sigma_greedy = GreedyPrefix(self.sigma)
+        self._nu_greedy = GreedyPrefix(self.nu)
 
     def solve(self, k: Optional[int] = None) -> PlacementResult:
         """Run the three greedy placements and return the best under σ."""
         budget = self.instance.k if k is None else k
-        f_mu = greedy_placement(self.mu, budget)
-        f_sigma = greedy_placement(self.sigma, budget)
-        f_nu = greedy_placement(self.nu, budget)
+        f_mu = self._mu_greedy.placement(budget)
+        f_sigma = self._sigma_greedy.placement(budget)
+        f_nu = self._nu_greedy.placement(budget)
 
         candidates = {
             "mu": f_mu,
@@ -104,12 +112,13 @@ class SandwichApproximation:
         """The practical ratio ``σ(F_ν) / ν(F_ν)`` of Eq. (5).
 
         *f_nu* may be passed when the ν-greedy solution is already available;
-        otherwise it is recomputed. When ``ν(F_ν) = 0`` nothing is coverable
-        at all, σ is identically its base value, and the bound is vacuous; we
-        return 1.0 in that degenerate case.
+        otherwise the ν-greedy placement at the instance budget is used. When
+        ``ν(F_ν) = 0`` nothing is coverable at all, σ is identically its base
+        value, and the bound is vacuous; we return 1.0 in that degenerate
+        case.
         """
         if f_nu is None:
-            f_nu = greedy_placement(self.nu, self.instance.k)
+            f_nu = self._nu_greedy.placement(self.instance.k)
         nu_value = float(self.nu.value(f_nu))
         if nu_value <= 0.0:
             return 1.0

@@ -43,16 +43,20 @@ def _sweep_cell(task) -> Tuple[List[int], List[int]]:
     instance = workload.instance(
         p_t, m=m, k=max(budgets), seed=(seed, workload.name, p_t)
     )
-    aa_values: List[int] = []
-    random_values: List[int] = []
-    for k in budgets:
-        aa_values.append(SandwichApproximation(instance).solve(k=k).sigma)
-        baseline = solve_random_baseline(
+    # One AA object serves every budget (its greedy runs are prefix-
+    # reused); it is dropped before the baselines so μ's masks are not
+    # resident while they run.
+    aa = SandwichApproximation(instance)
+    aa_values = [aa.solve(k=k).sigma for k in budgets]
+    del aa
+    random_values = [
+        solve_random_baseline(
             _with_budget(instance, k),
             seed=(seed, workload.name, p_t, k),
             trials=trials,
-        )
-        random_values.append(baseline.sigma)
+        ).sigma
+        for k in budgets
+    ]
     return aa_values, random_values
 
 

@@ -43,9 +43,13 @@ def _sweep_cell(task) -> Tuple[List[int], List[int], List[int]]:
     instance = workload.instance(
         p_t, m=m, k=max(budgets), seed=(seed, workload.name, p_t)
     )
-    aa_values, ea_values, aea_values = [], [], []
+    # One AA object serves every budget (its greedy runs are prefix-
+    # reused); it is dropped before EA and AEA run.
+    aa = SandwichApproximation(instance)
+    aa_values = [aa.solve(k=k).sigma for k in budgets]
+    del aa
+    ea_values, aea_values = [], []
     for k in budgets:
-        aa_values.append(SandwichApproximation(instance).solve(k=k).sigma)
         ea_values.append(
             EvolutionaryAlgorithm(
                 instance,

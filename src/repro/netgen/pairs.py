@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.exceptions import InstanceError
 from repro.failure.models import failure_to_length
 from repro.graph.distances import DistanceOracle
@@ -47,16 +49,18 @@ def eligible_pairs(
     if oracle is None:
         oracle = DistanceOracle(graph)
     matrix = oracle.matrix
-    n = graph.number_of_nodes()
+    nodes = graph.nodes
     out: List[NodePair] = []
-    for iu in range(n):
-        for iw in range(iu + 1, n):
-            d = matrix[iu, iw]
-            if d <= d_threshold:
-                continue
-            if d_cap is not None and d > d_cap:
-                continue
-            out.append((graph.index_node(iu), graph.index_node(iw)))
+    for iu in range(len(nodes) - 1):
+        # Row iu of the upper triangle. Negated comparisons keep a NaN
+        # distance, as a per-pair `if d <= d_t: skip` would.
+        row = matrix[iu, iu + 1 :]
+        keep = ~(row <= d_threshold)
+        if d_cap is not None:
+            keep &= ~(row > d_cap)
+        partners = np.flatnonzero(keep) + (iu + 1)
+        u = nodes[iu]
+        out.extend((u, nodes[iw]) for iw in partners.tolist())
     return out
 
 

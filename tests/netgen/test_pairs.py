@@ -1,9 +1,14 @@
 """Tests for repro.netgen.pairs (important-pair selection, §VII-A3)."""
 
+import math
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import InstanceError
-from repro.failure.models import length_to_failure
+from repro.failure.models import failure_to_length, length_to_failure
 from repro.graph.distances import DistanceOracle
 from repro.graph.graph import WirelessGraph
 from repro.netgen.pairs import (
@@ -66,6 +71,85 @@ class TestEligiblePairs:
         assert eligible_pairs(g, 0.25, oracle=oracle) == eligible_pairs(
             g, 0.25
         )
+
+
+def loop_eligible_pairs(graph, p_threshold, max_failure=None):
+    """Reference: the per-pair double loop over the upper triangle."""
+    d_threshold = failure_to_length(p_threshold)
+    d_cap = None if max_failure is None else failure_to_length(max_failure)
+    matrix = DistanceOracle(graph).matrix
+    n = graph.number_of_nodes()
+    out = []
+    for iu in range(n):
+        for iw in range(iu + 1, n):
+            d = matrix[iu, iw]
+            if d <= d_threshold:
+                continue
+            if d_cap is not None and d > d_cap:
+                continue
+            out.append((graph.index_node(iu), graph.index_node(iw)))
+    return out
+
+
+def labelled_random_graph(seed):
+    """Random graph with string node names inserted in shuffled order and
+    some isolated nodes, so index order differs from name order and some
+    pairs are disconnected (infinite distance)."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 16)
+    names = [f"v{i}" for i in range(n)]
+    rng.shuffle(names)
+    g = WirelessGraph()
+    g.add_nodes(names)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 0.25:
+                g.add_edge(
+                    names[a], names[b],
+                    failure_probability=rng.uniform(0.0, 0.6),
+                )
+    return g
+
+
+class TestEligiblePairsAgainstLoop:
+    @given(
+        seed=st.integers(0, 10_000),
+        p_threshold=st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.9]),
+        max_failure=st.sampled_from([None, 0.3, 0.7, 0.99]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_double_loop(self, seed, p_threshold, max_failure):
+        g = labelled_random_graph(seed)
+        assert eligible_pairs(
+            g, p_threshold, max_failure=max_failure
+        ) == loop_eligible_pairs(g, p_threshold, max_failure)
+
+    def test_boundaries_and_disconnected_pairs(self):
+        """A pair exactly at d_t is excluded and one just above it kept; a
+        pair exactly at the cap is kept and one just above it dropped;
+        disconnected pairs are kept only without a cap."""
+        p_t, cap = 0.2, 0.6
+        d_t, d_cap = failure_to_length(p_t), failure_to_length(cap)
+        g = WirelessGraph()
+        g.add_edge("at_t", "a", length=d_t)
+        g.add_edge("above_t", "b", length=math.nextafter(d_t, math.inf))
+        g.add_edge("at_cap", "c", length=d_cap)
+        g.add_edge("above_cap", "d", length=math.nextafter(d_cap, math.inf))
+        g.add_node("isolated")
+        for max_failure in (None, cap):
+            pairs = eligible_pairs(g, p_t, max_failure=max_failure)
+            assert pairs == loop_eligible_pairs(g, p_t, max_failure)
+            assert ("at_t", "a") not in pairs
+            assert ("above_t", "b") in pairs
+            assert ("at_cap", "c") in pairs
+            assert (("above_cap", "d") in pairs) == (max_failure is None)
+            assert (("a", "isolated") in pairs) == (max_failure is None)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_nodes(self, n):
+        g = WirelessGraph()
+        g.add_nodes(range(n))
+        assert eligible_pairs(g, 0.1) == []
 
 
 class TestSelectImportantPairs:
