@@ -14,8 +14,11 @@ Raw wall-clock times are machine-dependent, so the gate compares the
   (≤ 25% of the dense peak for the same workload) with placements
   identical to the dense tier.
 * ``--large-n``: additionally runs the hub-vs-sparse tier at n=10^4 and
-  asserts the hub solve is ≥ 3× faster with a lower tracemalloc peak and
-  an identical placement (the hub tier's acceptance floors).
+  compares it with the committed ``hub_tier_large_n`` entry for that
+  size by the same ``--tolerance`` rule: the hub-over-sparse solve
+  speedup must not fall more than the tolerance below the baseline's,
+  the hub/sparse tracemalloc-peak ratio must not rise more than the
+  tolerance above it, and the placements must be identical.
 * ``--serve``: additionally runs the serve warm-cache bench and asserts a
   warm (resident-substrate) request is ≥ 5× faster than a cold
   rebuild-per-request, with identical placements.
@@ -56,17 +59,40 @@ except ImportError:  # invoked as `python benchmarks/check_regression.py`
 MEMORY_GATE_SIZES = [(2000, 0.03, 60, 5, True)]
 MEMORY_BUDGET_RATIO = 0.25
 
-#: Large-n gate: the smallest hub-scale size (the full 10^5 series lives
-#: in BENCH_perf.json; one point keeps the gate fast). Floors are the
-#: tentpole's acceptance criteria, machine-relative because speedup and
-#: mem_ratio divide out the hardware.
+#: Large-n gate: the smallest hub-scale size, the first entry of the
+#: committed ``hub_tier_large_n`` series (which runs up to 10^5; one point
+#: keeps the gate fast). Speedup and mem_ratio divide out the hardware.
 LARGE_N_GATE_SIZES = [(10_000, 0.03, 60, 5)]
-LARGE_N_SPEEDUP_FLOOR = 3.0
 
 #: Serve gate: a warm (resident-substrate) request must be at least this
 #: many times faster than a cold rebuild-per-request — the acceptance
 #: floor of the planner-service work, machine-relative by construction.
 SERVE_WARM_SPEEDUP_FLOOR = 5.0
+
+
+def _against_baseline(
+    label: str, base: float, now: float, tolerance: float, *,
+    ceiling: bool = False,
+) -> list:
+    """Hold a fresh ratio to its committed *base*: at least
+    ``base * (1 - tolerance)``, or with *ceiling* (a ratio that must stay
+    low) at most ``base * (1 + tolerance)``."""
+    if ceiling:
+        bound, kind, side = base * (1.0 + tolerance), "ceiling", "above"
+        ok = now <= bound
+    else:
+        bound, kind, side = base * (1.0 - tolerance), "floor", "below"
+        ok = now >= bound
+    print(
+        f"{label}: baseline {base:.3f}, current {now:.3f} "
+        f"({kind} {bound:.3f}) [{'ok' if ok else 'REGRESSION'}]"
+    )
+    if ok:
+        return []
+    return [
+        f"{label} {now:.3f} is more than {tolerance:.0%} {side} "
+        f"baseline {base:.3f}"
+    ]
 
 
 def check_point_eval_speedups(baseline: dict, tolerance: float) -> list:
@@ -75,21 +101,12 @@ def check_point_eval_speedups(baseline: dict, tolerance: float) -> list:
     base = baseline["sigma_point_eval"]
     current = bench_point_eval()
     for label, key in (("headline", "speedup"), ("quick", "quick_speedup")):
-        base_speedup = float(base[key])
-        now_speedup = float(current[key])
-        floor = base_speedup * (1.0 - tolerance)
-        status = "ok" if now_speedup >= floor else "REGRESSION"
-        print(
-            f"sigma point-eval {label} speedup: baseline "
-            f"{base_speedup:.3f}, current {now_speedup:.3f} "
-            f"(floor {floor:.3f}) [{status}]"
+        failures += _against_baseline(
+            f"sigma point-eval {label} speedup",
+            float(base[key]),
+            float(current[key]),
+            tolerance,
         )
-        if now_speedup < floor:
-            failures.append(
-                f"sigma point-eval {label} speedup {now_speedup:.3f} fell "
-                f"more than {tolerance:.0%} below baseline "
-                f"{base_speedup:.3f}"
-            )
     return failures
 
 
@@ -114,33 +131,34 @@ def check_memory_budget() -> list:
     return failures
 
 
-def check_large_n() -> list:
-    """Run the hub-vs-sparse tier at hub scale and enforce the floors."""
-    failures = []
+def check_large_n(baseline: dict, tolerance: float) -> list:
+    """Run the hub-vs-sparse tier at hub scale and compare it with the
+    committed entry for the same size."""
+    base = baseline["hub_tier_large_n"]["sizes"][0]
     entry = bench_hub_tier(sizes=LARGE_N_GATE_SIZES)["sizes"][0]
-    speedup = float(entry["speedup"])
-    mem_ratio = float(entry["mem_ratio"])
-    status = (
-        "ok"
-        if speedup >= LARGE_N_SPEEDUP_FLOOR and mem_ratio < 1.0
-        else "REGRESSION"
-    )
     print(
         f"hub tier n={entry['n']}: solve {entry['hub_s']}s vs sparse "
-        f"{entry['sparse_s']}s -> speedup {speedup:.3f} (floor "
-        f"{LARGE_N_SPEEDUP_FLOOR}), mem ratio {mem_ratio:.3f} "
-        f"(budget < 1.0) [{status}]"
+        f"{entry['sparse_s']}s, peak {entry['hub_peak_mb']}MB vs "
+        f"{entry['sparse_peak_mb']}MB"
     )
-    if speedup < LARGE_N_SPEEDUP_FLOOR:
-        failures.append(
-            f"hub-tier speedup {speedup:.3f} below floor "
-            f"{LARGE_N_SPEEDUP_FLOOR} at n={entry['n']}"
-        )
-    if mem_ratio >= 1.0:
-        failures.append(
-            f"hub-tier peak memory is {mem_ratio:.3f} of sparse "
-            f"(must be < 1.0) at n={entry['n']}"
-        )
+    if entry["n"] != base["n"]:
+        return [
+            f"hub-tier gate ran n={entry['n']} but the baseline entry is "
+            f"n={base['n']}"
+        ]
+    failures = _against_baseline(
+        "hub-tier speedup over sparse",
+        float(base["speedup"]),
+        float(entry["speedup"]),
+        tolerance,
+    )
+    failures += _against_baseline(
+        "hub-tier peak-memory ratio to sparse",
+        float(base["mem_ratio"]),
+        float(entry["mem_ratio"]),
+        tolerance,
+        ceiling=True,
+    )
     if not entry.get("placements_identical"):
         failures.append("hub placements diverged from sparse")
     return failures
@@ -177,7 +195,8 @@ def main() -> int:
         "--tolerance",
         type=float,
         default=0.25,
-        help="allowed relative speedup drop before failing (default 0.25)",
+        help="allowed relative drop of a speedup (or rise of a memory "
+        "ratio) against the baseline before failing (default 0.25)",
     )
     parser.add_argument(
         "--memory",
@@ -187,7 +206,8 @@ def main() -> int:
     parser.add_argument(
         "--large-n",
         action="store_true",
-        help="also enforce the hub-tier speedup/memory floors at n=10^4",
+        help="also hold the hub tier's speedup and memory ratio over "
+        "sparse at n=10^4 to the baseline within --tolerance",
     )
     parser.add_argument(
         "--serve",
@@ -204,7 +224,7 @@ def main() -> int:
     if args.memory:
         failures.extend(check_memory_budget())
     if args.large_n:
-        failures.extend(check_large_n())
+        failures.extend(check_large_n(baseline, args.tolerance))
     if args.serve:
         failures.extend(check_serve_warm_cache())
 

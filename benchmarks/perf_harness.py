@@ -102,6 +102,12 @@ HUB_TIER_SIZES = [
 #: Point-distance queries per throughput measurement.
 HUB_QUERY_COUNT = 20_000
 
+#: Timed solves per tier in the hub-vs-sparse series; the fastest counts,
+#: as in the greedy-path benchmark. Both cutoff tiers solve n=10⁴ in about
+#: 0.1 s, where one solve's time swings by a third between runs, and
+#: ``check_regression.py --large-n`` holds their ratio to a tolerance.
+HUB_TIER_REPEATS = 5
+
 #: The serve warm-cache workload: dense enough that the substrate build
 #: (graph generation + APSP) dominates one request's solve, the regime the
 #: resident-substrate LRU exists for. m/k are deliberately small — a
@@ -353,15 +359,21 @@ def bench_oracle_tiers(sizes=None) -> dict:
     }
 
 
-def _solve_tier(graph, pairs, k: int, p_t: float, oracle: str):
-    """One greedy solve; returns ``(placement, seconds)``."""
-    start = time.perf_counter()
-    instance = MSCInstance(
-        graph, pairs, k=k, p_threshold=p_t, oracle=oracle
-    )
-    evaluator = SigmaEvaluator(instance)
-    placement = greedy_placement(evaluator, k)
-    return placement, time.perf_counter() - start
+def _solve_tier(
+    graph, pairs, k: int, p_t: float, oracle: str, repeats: int = 1
+):
+    """Greedy solve(s), oracle build included; returns ``(placement,
+    fastest seconds)``."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        instance = MSCInstance(
+            graph, pairs, k=k, p_threshold=p_t, oracle=oracle
+        )
+        evaluator = SigmaEvaluator(instance)
+        placement = greedy_placement(evaluator, k)
+        best = min(best, time.perf_counter() - start)
+    return placement, best
 
 
 def _traced_peak(fn) -> int:
@@ -410,9 +422,11 @@ def bench_hub_tier(sizes=None) -> dict:
             oracle.distance_by_index(int(iu), int(iv))
         query_s = time.perf_counter() - start
 
-        hub_placed, hub_s = _solve_tier(graph, pairs, k, p_t, "hub")
+        hub_placed, hub_s = _solve_tier(
+            graph, pairs, k, p_t, "hub", HUB_TIER_REPEATS
+        )
         sparse_placed, sparse_s = _solve_tier(
-            graph, pairs, k, p_t, "sparse"
+            graph, pairs, k, p_t, "sparse", HUB_TIER_REPEATS
         )
         assert hub_placed == sparse_placed, (
             f"hub/sparse placements disagree at n={n}, p_t={p_t}"
@@ -446,12 +460,15 @@ def bench_hub_tier(sizes=None) -> dict:
         )
     return {
         "description": (
-            "hub-label vs sparse oracle tier, full greedy solve on the "
-            "scaled RG family at hub scale (auto cutover at n >= "
-            f"{HUB_ORACLE_MIN_N}); identical placements asserted. "
-            "mem_ratio is hub tracemalloc peak / sparse tracemalloc peak "
-            "for the same solve, measured untimed (acceptance: speedup "
-            ">= 3 and mem_ratio < 1 at every size)."
+            "hub-label vs sparse oracle tier, both built with the "
+            "threshold cutoff: full greedy solve (fastest of "
+            f"{HUB_TIER_REPEATS}) on the scaled RG family at hub scale "
+            f"(auto cutover at n >= {HUB_ORACLE_MIN_N}); identical "
+            "placements asserted. speedup is sparse_s / hub_s; mem_ratio "
+            "is hub tracemalloc peak / sparse tracemalloc peak for the "
+            "same solve, measured untimed. check_regression.py --large-n "
+            "holds both at the first size to this file within its "
+            "--tolerance."
         ),
         "sizes": entries,
     }

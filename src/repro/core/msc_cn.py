@@ -55,15 +55,13 @@ def solve_msc_cn_exact(
                 "instance has no common node; use solve_exact instead"
             )
     graph = instance.graph
-    matrix = instance.oracle.matrix
-    limit = satisfaction_limit(instance.d_threshold)
     common_idx = graph.node_index(common)
     partners = [w if u == common else u for u, w in instance.pairs]
     partner_indices = np.array(
         [graph.node_index(p) for p in partners], dtype=np.intp
     )
-    base = matrix[common_idx, partner_indices] <= limit
-    covers = matrix[:, partner_indices] <= limit  # (n, m) bool
+    covers = _partner_covers(instance, partner_indices)
+    base = covers[common_idx]
     candidates = [
         v for v in range(instance.n) if v != common_idx
     ]
@@ -98,6 +96,21 @@ def solve_msc_cn_exact(
         evaluations=space,
         extras={"common_node": common, "search_space": space},
     )
+
+
+def _partner_covers(
+    instance: MSCInstance, partner_indices: np.ndarray
+) -> np.ndarray:
+    """``covers[v, j]``: node *v* is within the requirement of partner
+    *j* — the cover set ``C_v`` as an ``(n, m)`` mask.
+
+    Read from the partners' rows (each row serves its column by
+    symmetry), never the square matrix, so every oracle tier answers,
+    a cutoff tier included: a distance beyond its cutoff reads ``inf``
+    and fails the test exactly as the true one does.
+    """
+    limit = satisfaction_limit(instance.d_threshold)
+    return instance.oracle.rows(partner_indices).T <= limit
 
 
 def is_common_node_instance(instance: MSCInstance) -> bool:
@@ -144,8 +157,6 @@ def solve_msc_cn(
         raise SolverError(f"{common!r} is not shared by every pair")
 
     graph = instance.graph
-    matrix = instance.oracle.matrix
-    limit = satisfaction_limit(instance.d_threshold)
     common_idx = graph.node_index(common)
 
     # Partner of each pair (the endpoint that is not the common node).
@@ -158,11 +169,12 @@ def solve_msc_cn(
 
     # Base-satisfied pairs are covered by every choice; exclude them from the
     # coverage universe and add them back at the end.
-    base = matrix[common_idx, partner_indices] <= limit
+    covers = _partner_covers(instance, partner_indices)
+    base = covers[common_idx]
     open_pairs = np.flatnonzero(~base)
 
     # sets[v, j]: shortcut (common, v) rescues open pair j.
-    sets = matrix[:, partner_indices[open_pairs]] <= limit
+    sets = covers[:, open_pairs]
     sets[common_idx, :] = False  # (u, u) self-loop is not a valid shortcut
     result = greedy_max_coverage(sets, instance.k)
 

@@ -87,10 +87,12 @@ def resolve_oracle(
     """Build the distance oracle *policy* asks for.
 
     ``dense`` builds the classic APSP :class:`DistanceOracle`; ``sparse``
-    builds a :class:`SparseRowOracle` restricted to the pair endpoints and
-    their ``d_t``-ball; ``hub`` builds a threshold-cutoff
-    :class:`HubLabelOracle` (exact for every comparison against ``d_t``,
-    label footprint independent of pair count). ``auto`` picks dense below
+    builds a threshold-cutoff :class:`SparseRowOracle` restricted to the
+    pair endpoints and their ``d_t``-ball; ``hub`` builds a
+    threshold-cutoff :class:`HubLabelOracle` (label footprint independent
+    of pair count). Both cutoff tiers search only out to
+    :func:`threshold_cutoff` of ``d_t`` and are exact for every comparison
+    against ``d_t``. ``auto`` picks dense below
     :data:`SPARSE_ORACLE_MIN_N`, hub from :data:`HUB_ORACLE_MIN_N` up,
     and in between measures the ball first (cutoff Dijkstra from the
     endpoints — cost bounded by the ball, not the graph) and picks sparse
@@ -103,21 +105,24 @@ def resolve_oracle(
             f"available: {', '.join(ORACLE_POLICIES)}"
         )
     seeds = sorted({i for pair in pair_indices for i in pair})
+    cutoff = threshold_cutoff(d_threshold)
     if policy == "sparse":
-        return SparseRowOracle(graph, seeds, radius=d_threshold)
+        return SparseRowOracle(
+            graph, seeds, radius=d_threshold, cutoff=cutoff
+        )
     if policy == "dense":
         return DistanceOracle(graph)
     if policy == "hub":
-        return HubLabelOracle(graph, cutoff=threshold_cutoff(d_threshold))
+        return HubLabelOracle(graph, cutoff=cutoff)
     n = graph.number_of_nodes()
     if n < SPARSE_ORACLE_MIN_N or not seeds:
         return DistanceOracle(graph)
     if n >= HUB_ORACLE_MIN_N:
-        return HubLabelOracle(graph, cutoff=threshold_cutoff(d_threshold))
+        return HubLabelOracle(graph, cutoff=cutoff)
     sources = relevant_source_indices(graph, seeds, d_threshold)
     if sources.size > SPARSE_MAX_RELEVANT_FRACTION * n:
         return DistanceOracle(graph)
-    return SparseRowOracle(graph, sources=sources)
+    return SparseRowOracle(graph, sources=sources, cutoff=cutoff)
 
 
 class MSCInstance:
@@ -231,17 +236,18 @@ class MSCInstance:
         pair_indices: List[IndexPair],
     ) -> None:
         oracle = substrate.oracle
+        cutoff = getattr(oracle, "cutoff", None)
         if (
-            isinstance(oracle, HubLabelOracle)
-            and oracle.cutoff is not None
-            and satisfaction_limit(request.d_threshold) > oracle.cutoff
+            cutoff is not None
+            and satisfaction_limit(request.d_threshold) > cutoff
         ):
-            # Beyond its cutoff a hub index may over-report distances, so
-            # σ would silently undercount the pairs the request counts.
+            # Beyond its cutoff a hub index or sparse block over-reports
+            # distances, so σ would silently undercount the pairs the
+            # request counts.
             raise InstanceError(
                 f"the request's d_t={request.d_threshold:.6g} is beyond the "
-                f"hub-label substrate's cutoff={oracle.cutoff:.6g}; build "
-                "the substrate for this threshold (or a larger one)"
+                f"{substrate.oracle_kind} substrate's cutoff={cutoff:.6g}; "
+                "build the substrate for this threshold (or a larger one)"
             )
         self.substrate = substrate
         self.request = request

@@ -225,12 +225,12 @@ def _oracle_descriptor(oracle: OracleLike) -> str:
 
     Two oracles over content-equal graphs answer identically when their
     tier and tier parameters match: the dense APSP has no parameters, the
-    sparse tier is determined by its source-row set, and the hub tier by
-    its threshold cutoff.
+    sparse tier is determined by its source-row set and row cutoff, and
+    the hub tier by its threshold cutoff.
     """
     if isinstance(oracle, SparseRowOracle):
         sources = ",".join(str(int(s)) for s in oracle.source_indices)
-        return f"sparse:{sources}"
+        return f"sparse:{sources}:{oracle.cutoff!r}"
     if isinstance(oracle, HubLabelOracle):
         return f"hub:{getattr(oracle, '_cutoff', None)!r}"
     return "dense"
@@ -288,8 +288,9 @@ class Substrate:
         ``"sparse"`` / ``"hub"`` / ``"auto"``), or ``None`` for the
         process-default policy. Policy resolution may consult
         *d_threshold* (or *p_threshold*) and *pair_indices* — the sparse
-        tier is pair-centric and the hub tier cuts labels at the
-        threshold; a service substrate meant to outlive any single request
+        tier is pair-centric, and both it and the hub tier stop their
+        searches at the threshold, so a request with a larger threshold
+        is refused; a service substrate meant to outlive any single request
         should pass ``oracle="dense"`` (or a prebuilt oracle) so the tier
         is request-independent.
         """

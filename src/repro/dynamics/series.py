@@ -129,14 +129,20 @@ class DynamicMSCInstance:
 
     # --------------------------------------------------------------- solvers
 
-    def solve_sandwich(self) -> PlacementResult:
-        """Sandwich AA on the dynamic objective (paper §VI-2)."""
+    def sandwich(self) -> SandwichApproximation:
+        """Sandwich AA over the summed objective and bounds; its
+        ``solve(k=...)`` serves any budget up to :attr:`k` from one greedy
+        run per function."""
         return SandwichApproximation(
             self.carrier,
             sigma=self.sigma_function(),
             mu=self.mu_function(),
             nu=self.nu_function(),
-        ).solve(k=self.k)
+        )
+
+    def solve_sandwich(self) -> PlacementResult:
+        """Sandwich AA on the dynamic objective (paper §VI-2)."""
+        return self.sandwich().solve(k=self.k)
 
     def solve_ea(
         self, iterations: int = 500, seed: SeedLike = None

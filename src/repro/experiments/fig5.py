@@ -53,10 +53,13 @@ def run_fig5(scale: str = "paper", seed: SeedLike = 1) -> ExperimentResult:
             seed=(seed, "fig5a", p_t),
             n=preset.fig5_n,
         )
-        aa_vals, ea_vals, aea_vals = [], [], []
+        # One AA object at the largest budget serves every k: each greedy
+        # placement of a smaller budget is a prefix of the largest one.
+        aa = dyn.sandwich()
+        aa_vals = [aa.solve(k=k).sigma for k in budgets]
+        ea_vals, aea_vals = [], []
         for k in budgets:
             scoped = _with_budget(dyn, k)
-            aa_vals.append(scoped.solve_sandwich().sigma)
             ea_vals.append(
                 scoped.solve_ea(
                     iterations=preset.fig5_iterations,

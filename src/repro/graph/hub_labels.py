@@ -51,6 +51,7 @@ import numpy as np
 from repro.exceptions import GraphError
 from repro.failure.models import satisfaction_limit
 from repro.graph.graph import Node, WirelessGraph
+from repro.graph.paths import graph_csr
 
 INFINITY = math.inf
 
@@ -144,13 +145,21 @@ class HubLabelOracle:
         graph = self._graph
         n = graph.number_of_nodes()
         cutoff = self._cutoff
-        adjacency = [
-            list(graph.neighbors_by_index(u).items()) for u in range(n)
-        ]
+        indptr, indices, lengths = graph_csr(graph)
         # Degree-descending rank order (index tiebreak): high-degree nodes
         # become hubs first, which is what keeps labels short on the
         # hub-and-spoke structure of geometric/social graphs.
-        order = sorted(range(n), key=lambda u: (-len(adjacency[u]), u))
+        order = np.lexsort((np.arange(n), -np.diff(indptr))).tolist()
+        if cutoff is not None:
+            # From any d >= 0 an edge longer than the cutoff reaches
+            # d + length > cutoff, which the search never relaxes; drop
+            # such edges up front (each node keeps its neighbor order).
+            keep = lengths <= cutoff
+            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+            indices, lengths = indices[keep], lengths[keep]
+        edges = list(zip(indices.tolist(), lengths.tolist()))
+        bounds = indptr.tolist()
+        adjacency = [edges[bounds[u] : bounds[u + 1]] for u in range(n)]
         label_hubs = [[] for _ in range(n)]
         label_dists = [[] for _ in range(n)]
         # Rank-indexed scratch holding the current root's label distances,

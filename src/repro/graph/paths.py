@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -192,6 +192,7 @@ def source_rows_matrix(
     graph: WirelessGraph,
     sources: Sequence[int],
     use_scipy: Optional[bool] = None,
+    limit: Optional[float] = None,
 ) -> np.ndarray:
     """Shortest-path distances from each of *sources* to every node, as a
     ``(len(sources), n)`` row block (``inf`` when disconnected).
@@ -200,21 +201,44 @@ def source_rows_matrix(
     cost scales with the number of sources, not with ``n`` squared, which
     is what the sparse distance-oracle tier is built on. Both backends
     produce identical rows to their all-pairs counterparts.
+
+    *limit* bounds every search at that distance, so each source costs
+    its ``limit``-ball instead of the graph: an entry at most *limit*
+    equals the unbounded one bit for bit (every prefix of a shortest
+    path is no longer than the path), and a larger one reads ``inf``.
     """
     sources = list(sources)
-    if use_scipy is None:
-        use_scipy = _scipy_available()
     if not sources:
         return np.empty((0, graph.number_of_nodes()))
-    if use_scipy:
-        from scipy.sparse.csgraph import dijkstra as sp_dijkstra
+    return source_row_search(graph, use_scipy=use_scipy, limit=limit)(
+        sources
+    )
 
-        block = sp_dijkstra(
-            _scipy_graph(graph), directed=False, indices=sources
+
+def source_row_search(
+    graph: WirelessGraph,
+    *,
+    use_scipy: Optional[bool] = None,
+    limit: Optional[float] = None,
+) -> Callable[[Sequence[int]], np.ndarray]:
+    """A reusable :func:`source_rows_matrix` over one graph: the returned
+    function maps source indices to their row block, and the graph's CSR
+    form is built once here rather than once per call.
+
+    The graph must not be mutated while the function is in use.
+    """
+    if use_scipy is None:
+        use_scipy = _scipy_available()
+    if not use_scipy:
+        return lambda sources: np.vstack(
+            [_dijkstra_indices(graph, int(src), limit) for src in sources]
         )
-        return np.atleast_2d(block)
-    return np.vstack(
-        [_dijkstra_indices(graph, src) for src in sources]
+    from scipy.sparse.csgraph import dijkstra as sp_dijkstra
+
+    csr = _scipy_graph(graph)
+    bound = INFINITY if limit is None else limit
+    return lambda sources: np.atleast_2d(
+        sp_dijkstra(csr, directed=False, indices=list(sources), limit=bound)
     )
 
 

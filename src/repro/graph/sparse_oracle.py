@@ -10,11 +10,26 @@ help a pair, and every reachable-through-shortcuts endpoint is within
 and stores the resulting row block, turning the oracle's footprint from
 O(n²) into O(r·n) and its build time from n single-source runs into r.
 
-Rows outside the block are still exact: a straggler query (rare — e.g. a
+Rows outside the block are still served: a straggler query (rare — e.g. a
 later greedy round placing a shortcut endpoint discovered through an
 earlier shortcut's ball) fills that row lazily with one more Dijkstra run
-and caches it. The oracle therefore *never approximates*; it only chooses
-which exact rows to precompute.
+and caches it. The oracle only chooses which rows to precompute.
+
+Cutoff mode
+-----------
+
+By the same observation no search needs to go past ``d_t`` either. With
+``cutoff=threshold_cutoff(d_t)`` every row search (block and stragglers)
+stops at the cutoff, so a build costs ``r`` cutoff balls instead of ``r``
+whole-graph searches. A distance at most the cutoff is exact — bit for
+bit the full row's entry — and a larger one reads ``inf``, an upper
+bound. This is the hub tier's threshold-cutoff argument (see
+:mod:`repro.graph.hub_labels`): every solver decision compares a distance,
+or a sum of non-negative legs, against ``satisfaction_limit(d_t)``, which
+is below the cutoff, so each comparison resolves exactly as on a full
+oracle and placements stay identical. A cutoff block refuses
+:attr:`SparseRowOracle.matrix`, and an instance refuses a request whose
+threshold lies beyond it. ``cutoff=None`` keeps exact full rows.
 """
 
 from __future__ import annotations
@@ -25,10 +40,7 @@ import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graph.graph import Node, WirelessGraph
-from repro.graph.paths import (
-    ball_indices,
-    source_rows_matrix,
-)
+from repro.graph.paths import ball_indices, source_rows_matrix
 
 
 def relevant_source_indices(
@@ -50,9 +62,9 @@ class SparseRowOracle:
 
     Serves the same row/distance protocol as
     :class:`~repro.graph.distances.DistanceOracle` from an ``(r, n)`` row
-    block holding exact single-source distances for the *relevant* sources
+    block holding single-source distances for the *relevant* sources
     (*seeds* plus their ``radius``-ball). Any other row is computed lazily
-    on first access (one Dijkstra run, cached), so all queries are exact.
+    on first access (one Dijkstra run, cached).
 
     Args:
         graph: the base graph (must not be mutated afterwards).
@@ -66,6 +78,10 @@ class SparseRowOracle:
         sources: precomputed relevant-source indices (skips the ball
             expansion; used by the auto-selection policy, which has already
             measured the ball).
+        cutoff: optional distance bound on every row search. ``None``
+            keeps exact full rows; a finite cutoff keeps entries exact up
+            to the cutoff and reads ``inf`` beyond it — sufficient for
+            every threshold comparison the solvers make (see module docs).
     """
 
     #: Process-local count of row-block builds (adopted blocks do not
@@ -80,9 +96,13 @@ class SparseRowOracle:
         radius: Optional[float] = None,
         use_scipy: Optional[bool] = None,
         sources: Optional[Sequence[int]] = None,
+        cutoff: Optional[float] = None,
     ) -> None:
+        if cutoff is not None and cutoff < 0:
+            raise GraphError(f"negative cutoff {cutoff}")
         self._graph = graph
         self._use_scipy = use_scipy
+        self._cutoff = None if cutoff is None else float(cutoff)
         n = graph.number_of_nodes()
         if sources is None:
             sources = relevant_source_indices(graph, seeds, radius)
@@ -108,8 +128,9 @@ class SparseRowOracle:
         sources: Sequence[int],
         block: np.ndarray,
     ) -> "SparseRowOracle":
-        """Oracle adopting an already-computed row *block* for *sources*
-        (shared-memory attach path; the block is used as-is, read-only)."""
+        """Oracle adopting an already-computed row *block* of full rows for
+        *sources* (shared-memory attach path; the block is used as-is,
+        read-only)."""
         oracle = cls(graph, sources=sources)
         n = graph.number_of_nodes()
         if block.shape != (oracle._sources.size, n):
@@ -130,6 +151,11 @@ class SparseRowOracle:
         return self._graph
 
     @property
+    def cutoff(self) -> Optional[float]:
+        """The row-search cutoff (``None`` = exact full rows)."""
+        return self._cutoff
+
+    @property
     def source_indices(self) -> np.ndarray:
         """The precomputed sources, sorted (read-only view)."""
         view = self._sources.view()
@@ -140,14 +166,19 @@ class SparseRowOracle:
     def block(self) -> np.ndarray:
         """The ``(r, n)`` row block (computed on first access, read-only)."""
         if self._block is None:
-            self._block = source_rows_matrix(
-                self._graph,
-                [int(s) for s in self._sources],
-                use_scipy=self._use_scipy,
-            )
+            self._block = self._search_rows(self._sources)
             self._block.setflags(write=False)
             SparseRowOracle.build_count += 1
         return self._block
+
+    def _search_rows(self, sources: Sequence[int]) -> np.ndarray:
+        """Rows for *sources* from fresh searches bounded by the cutoff."""
+        return source_rows_matrix(
+            self._graph,
+            [int(s) for s in sources],
+            use_scipy=self._use_scipy,
+            limit=self._cutoff,
+        )
 
     @property
     def lazy_fills(self) -> int:
@@ -174,9 +205,7 @@ class SparseRowOracle:
             return self.block[slot, :]
         cached = self._extra.get(int(index))
         if cached is None:
-            cached = source_rows_matrix(
-                self._graph, [int(index)], use_scipy=self._use_scipy
-            )[0]
+            cached = self._search_rows([int(index)])[0]
             cached.setflags(write=False)
             self._extra[int(index)] = cached
             self._lazy_fills += 1
@@ -234,13 +263,20 @@ class SparseRowOracle:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Full ``n x n`` matrix for legacy consumers.
+        """Full ``n x n`` matrix for legacy consumers (full rows only).
 
         Materializing it forfeits the sparse tier's memory savings (every
         missing row is computed), so hot paths must use the row accessors;
         this exists so code written against the dense oracle still returns
-        exact results when handed a sparse one.
+        exact results when handed a sparse one. A cutoff block is exact
+        only within its cutoff, so it refuses, as a cutoff hub index does.
         """
+        if self._cutoff is not None:
+            raise GraphError(
+                "a cutoff sparse row block cannot serve the full matrix "
+                f"(exact only within cutoff={self._cutoff}); build with "
+                "cutoff=None or use the row accessors"
+            )
         n = self._graph.number_of_nodes()
         missing = [
             i
@@ -248,9 +284,7 @@ class SparseRowOracle:
             if i not in self._slot_of and i not in self._extra
         ]
         if missing:
-            filled = source_rows_matrix(
-                self._graph, missing, use_scipy=self._use_scipy
-            )
+            filled = self._search_rows(missing)
             for index, row in zip(missing, filled):
                 row.setflags(write=False)
                 self._extra[index] = row
@@ -260,7 +294,10 @@ class SparseRowOracle:
         return full
 
     def __repr__(self) -> str:
+        cutoff = (
+            "" if self._cutoff is None else f", cutoff={self._cutoff:.4g}"
+        )
         return (
             f"SparseRowOracle(n={self._graph.number_of_nodes()}, "
-            f"r={self._sources.size}, lazy={self._lazy_fills})"
+            f"r={self._sources.size}, lazy={self._lazy_fills}{cutoff})"
         )

@@ -7,7 +7,7 @@ currently violate the requirement and therefore actually need shortcut help.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -105,13 +105,18 @@ def sample_important_pairs(
     :func:`select_important_pairs` enumerates all ``O(n²)`` pairs against
     a full APSP matrix — exactly the footprint the sparse oracle tier
     exists to avoid. This sampler instead draws random source nodes, runs
-    one Dijkstra each (:func:`~repro.graph.paths.source_rows_matrix`), and
+    one Dijkstra each (:func:`~repro.graph.paths.source_row_search`), and
     keeps violating partners until *m* pairs are collected. The distribution is
     not identical to the uniform-over-all-violating-pairs selector (it is
     uniform per sampled source), which matches the paper's intent —
     "randomly selected from the node pairs with path failure probability
     larger than the threshold" — without ever materializing the pair
     universe.
+
+    Each search stops at ``d_t`` (at the cap, when one is set and larger):
+    a distance within the bound is exact and a farther one reads ``inf``,
+    which violates ``p_t`` and breaks the cap exactly as the true distance
+    does, so the partner set is the one full searches would give.
 
     Args:
         oversample: give up after ``oversample * m`` source draws without
@@ -120,7 +125,7 @@ def sample_important_pairs(
 
     Raises :class:`InstanceError` when the quota cannot be filled.
     """
-    from repro.graph.paths import source_rows_matrix
+    from repro.graph.paths import source_row_search
 
     check_positive_int(m, "m")
     check_fraction(p_threshold, "p_threshold")
@@ -135,31 +140,30 @@ def sample_important_pairs(
     n = len(nodes)
     if n < 2:
         raise InstanceError("need at least two nodes to sample pairs")
+    search = source_row_search(
+        graph,
+        limit=d_threshold if d_cap is None else max(d_threshold, d_cap),
+    )
     out: List[NodePair] = []
-    seen = set()
+    # Partners already paired with each source, in either orientation.
+    taken: Dict[int, List[int]] = {}
     draws = 0
     while len(out) < m and draws < oversample * m:
         draws += 1
-        u = nodes[rng.randrange(n)]
-        iu = graph.node_index(u)
-        distances = source_rows_matrix(graph, [iu])[0]
-        partners = []
-        for iw in range(n):
-            if iw == iu:
-                continue
-            d = distances[iw]
-            if d <= d_threshold:
-                continue
-            if d_cap is not None and d > d_cap:
-                continue
-            key = (min(iu, iw), max(iu, iw))
-            if key not in seen:
-                partners.append((iw, key))
-        if not partners:
+        iu = rng.randrange(n)
+        distances = search([iu])[0]
+        # The source itself sits at distance 0 <= d_t and is never kept.
+        keep = distances > d_threshold
+        if d_cap is not None:
+            keep &= distances <= d_cap
+        keep[taken.get(iu, [])] = False
+        partners = np.flatnonzero(keep)
+        if not partners.size:
             continue
-        iw, key = partners[rng.randrange(len(partners))]
-        seen.add(key)
-        out.append((u, graph.index_node(iw)))
+        iw = int(partners[rng.randrange(partners.size)])
+        taken.setdefault(iu, []).append(iw)
+        taken.setdefault(iw, []).append(iu)
+        out.append((nodes[iu], nodes[iw]))
     if len(out) < m:
         raise InstanceError(
             f"sampled only {len(out)} violating pairs after {draws} "

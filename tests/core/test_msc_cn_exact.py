@@ -55,6 +55,20 @@ class TestExactCn:
         with pytest.raises(SolverError, match="no common node"):
             solve_msc_cn_exact(inst)
 
+    def test_base_satisfied_pairs_counted(self):
+        """Pairs the base graph already satisfies count in σ and in the
+        flags, as in the general exact solver."""
+        g = cn_instance().graph
+        g.add_edge(0, 6, length=0.5)
+        g.add_edge(0, 7, length=1.0)
+        inst = MSCInstance(
+            g, [(0, leaf) for leaf in range(1, 8)], 1, d_threshold=1.5,
+            require_initially_unsatisfied=False,
+        )
+        result = solve_msc_cn_exact(inst)
+        assert result.satisfied[5] and result.satisfied[6]
+        assert result.sigma == solve_exact(inst).sigma == 3
+
     def test_satisfied_flags_consistent(self):
         inst = cn_instance(k=2)
         result = solve_msc_cn_exact(inst)

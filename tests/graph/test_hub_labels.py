@@ -288,3 +288,99 @@ class TestPlacementIdentity:
         assert inst.oracle_kind == "hub"
         placement = greedy_placement(SigmaEvaluator(inst), k)
         assert len(placement) == k
+
+
+def reference_label_arrays(graph, cutoff=None):
+    """The label build as it was before the edge filter: relax every edge
+    (the length test sits inside the search) and rank by a Python sort.
+    The library's build must produce byte-identical index arrays."""
+    import heapq
+
+    n = graph.number_of_nodes()
+    adjacency = [
+        list(graph.neighbors_by_index(u).items()) for u in range(n)
+    ]
+    order = sorted(range(n), key=lambda u: (-len(adjacency[u]), u))
+    label_hubs = [[] for _ in range(n)]
+    label_dists = [[] for _ in range(n)]
+    root_dist = [math.inf] * n
+    for rank, root in enumerate(order):
+        for h, d in zip(label_hubs[root], label_dists[root]):
+            root_dist[h] = d
+        dist = {root: 0.0}
+        heap = [(0.0, root)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist.get(u, math.inf):
+                continue
+            if cutoff is not None and d > cutoff:
+                break
+            if any(
+                root_dist[h] + dh <= d
+                for h, dh in zip(label_hubs[u], label_dists[u])
+            ):
+                continue
+            label_hubs[u].append(rank)
+            label_dists[u].append(d)
+            for v, length in adjacency[u]:
+                nd = d + length
+                if cutoff is not None and nd > cutoff:
+                    continue
+                if nd < dist.get(v, math.inf):
+                    dist[v] = nd
+                    heapq.heappush(heap, (nd, v))
+        for h in label_hubs[root]:
+            root_dist[h] = math.inf
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(h) for h in label_hubs], out=indptr[1:])
+    return {
+        "label_indptr": indptr,
+        "label_hubs": np.array(
+            [h for hubs in label_hubs for h in hubs], dtype=np.int64
+        ),
+        "label_dists": np.array(
+            [d for dists in label_dists for d in dists], dtype=np.float64
+        ),
+    }
+
+
+class TestBuildMatchesReference:
+    """Dropping edges longer than the cutoff and ranking with lexsort
+    leave the index arrays byte-identical."""
+
+    @staticmethod
+    def assert_same_index(graph, cutoff):
+        arrays = HubLabelOracle(graph, cutoff=cutoff).index_arrays()
+        expected = reference_label_arrays(graph, cutoff)
+        for key, array in expected.items():
+            assert arrays[key].dtype == array.dtype
+            assert arrays[key].tobytes() == array.tobytes()
+
+    @pytest.mark.parametrize("cutoff", [None, 0.0, 0.5, 1.0, 2.5])
+    def test_grid_and_path(self, cutoff):
+        self.assert_same_index(grid_graph(5, 4), cutoff)
+        self.assert_same_index(path_graph([0.5, 1.0, 0.0, 2.0, 0.5]), cutoff)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        cutoff=st.sampled_from([None, 0.2, 0.6, 1.5]),
+    )
+    def test_random_graphs_with_zero_edges_and_isolated_nodes(
+        self, seed, cutoff
+    ):
+        rng = random.Random(seed)
+        g = random_graph(16, 0.3, rng)
+        u, v = rng.sample(range(16), 2)
+        g.add_edge(u, v, length=0.0)
+        g.add_node(16)
+        self.assert_same_index(g, cutoff)
+
+    def test_rg_workload(self):
+        from repro.netgen.geometric import random_geometric_network
+
+        graph = random_geometric_network(
+            400, radius=0.1, max_link_failure=0.08, seed=3
+        ).graph
+        self.assert_same_index(graph, threshold_cutoff(0.03))
+        self.assert_same_index(graph, None)

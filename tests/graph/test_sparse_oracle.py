@@ -17,9 +17,12 @@ from repro.core.problem import (
     resolve_oracle,
     set_default_oracle_policy,
 )
+from repro.core.substrate import PlacementRequest, Substrate
 from repro.exceptions import GraphError, InstanceError
 from repro.graph.distances import DistanceOracle
 from repro.graph.graph import WirelessGraph
+from repro.graph.hub_labels import threshold_cutoff
+from repro.graph.paths import all_pairs_distance_matrix
 from repro.graph.sparse_oracle import (
     SparseRowOracle,
     relevant_source_indices,
@@ -273,3 +276,108 @@ class TestOraclePolicy:
                 SigmaEvaluator(inst), inst.k
             )
         assert placements["dense"] == placements["sparse"]
+
+
+def assert_cutoff_row(row, full_row, cutoff):
+    """A cutoff row equals the full row wherever the full row is within
+    the cutoff (bit for bit) and reads inf everywhere else."""
+    within = full_row <= cutoff
+    assert np.array_equal(row[within], full_row[within])
+    assert np.all(np.isinf(row[~within]))
+
+
+def zero_edge_graph_with_isolated_node(seed):
+    """A random graph with an exact-zero edge and an isolated node."""
+    rng = random.Random(seed)
+    g = random_graph(14, 0.25, rng)
+    u, v = rng.sample(range(14), 2)
+    g.add_edge(u, v, length=0.0)
+    g.add_node(14)
+    return g
+
+
+class TestCutoffMode:
+    @pytest.mark.parametrize("use_scipy", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_exact_within_cutoff_inf_beyond(self, use_scipy, seed):
+        g = zero_edge_graph_with_isolated_node(seed)
+        full = all_pairs_distance_matrix(g, use_scipy=use_scipy)
+        cutoff = [0.4, 0.9, 1.7][seed % 3]
+        seeds = random.Random(seed).sample(range(15), 2)
+        sparse = SparseRowOracle(
+            g, seeds, radius=cutoff / 2, cutoff=cutoff, use_scipy=use_scipy
+        )
+        inside = {int(s) for s in sparse.source_indices}
+        assert len(inside) < 15, "need straggler rows too"
+        for i in range(15):  # block rows and straggler rows
+            assert_cutoff_row(sparse.row_by_index(i), full[i], cutoff)
+        assert sparse.lazy_fills == 15 - len(inside)
+        rows = sparse.rows(range(15))
+        columns = [0, 7, 14]
+        assert np.array_equal(
+            sparse.rows_to(range(15), columns), rows[:, columns]
+        )
+
+    @pytest.mark.parametrize("use_scipy", [False, True])
+    def test_distance_exactly_at_cutoff_is_kept(self, use_scipy):
+        g = path_graph([0.5, 0.5, 0.5])
+        sparse = SparseRowOracle(g, [0], cutoff=1.0, use_scipy=use_scipy)
+        assert list(sparse.row_by_index(0)) == [0.0, 0.5, 1.0, math.inf]
+        assert list(sparse.row_by_index(3)) == [math.inf, 1.0, 0.5, 0.0]
+
+    @pytest.mark.parametrize("use_scipy", [False, True])
+    def test_zero_length_edges_and_disconnected_nodes(self, use_scipy):
+        g = WirelessGraph()
+        g.add_edge(0, 1, length=0.0)
+        g.add_edge(1, 2, length=0.3)
+        g.add_edge(2, 3, length=0.0)
+        g.add_edge(4, 5, length=0.1)  # separate component
+        full = all_pairs_distance_matrix(g, use_scipy=use_scipy)
+        sparse = SparseRowOracle(g, [0], cutoff=0.3, use_scipy=use_scipy)
+        for i in range(6):
+            assert_cutoff_row(sparse.row_by_index(i), full[i], 0.3)
+        assert math.isinf(sparse.distance_by_index(0, 4))
+
+    def test_matrix_raises_with_cutoff(self):
+        sparse = SparseRowOracle(grid_graph(3, 3), [0], cutoff=1.0)
+        with pytest.raises(GraphError):
+            sparse.matrix
+
+    def test_negative_cutoff_rejected(self):
+        with pytest.raises(GraphError):
+            SparseRowOracle(grid_graph(2, 2), [0], cutoff=-1.0)
+
+    def test_policies_build_threshold_cutoff_blocks(self):
+        g = grid_graph(3, 3)
+        explicit = resolve_oracle(g, [(0, 8)], 2.0, "sparse")
+        assert explicit.cutoff == threshold_cutoff(2.0)
+        n = SPARSE_ORACLE_MIN_N + 1
+        path = path_graph([1.0] * (n - 1))
+        auto = resolve_oracle(path, [(0, 4)], 2.0, "auto")
+        assert isinstance(auto, SparseRowOracle)
+        assert auto.cutoff == threshold_cutoff(2.0)
+
+    def test_request_beyond_cutoff_rejected(self):
+        g = path_graph([1.0] * 6)
+        substrate = Substrate.build(
+            g, oracle="sparse", d_threshold=2.0, pair_indices=[(0, 6)]
+        )
+        substrate.instance(PlacementRequest([(0, 6)], 1, d_threshold=2.0))
+        substrate.instance(PlacementRequest([(0, 6)], 1, d_threshold=1.5))
+        with pytest.raises(InstanceError, match="cutoff"):
+            substrate.instance(
+                PlacementRequest([(0, 6)], 1, d_threshold=2.5)
+            )
+        with pytest.raises(InstanceError, match="cutoff"):
+            MSCInstance(g, [(0, 6)], 1, d_threshold=2.5, oracle=substrate)
+
+    def test_fingerprint_depends_on_cutoff(self):
+        g = grid_graph(3, 3)
+
+        def fingerprint(cutoff):
+            oracle = SparseRowOracle(g, [0, 8], radius=1.0, cutoff=cutoff)
+            return Substrate(g, oracle).fingerprint
+
+        assert fingerprint(1.5) == fingerprint(1.5)
+        cutoffs = (None, 1.5, 2.5)
+        assert len({fingerprint(c) for c in cutoffs}) == 3

@@ -10,13 +10,19 @@ from hypothesis import strategies as st
 from repro.exceptions import InstanceError
 from repro.failure.models import failure_to_length, length_to_failure
 from repro.graph.distances import DistanceOracle
+from repro.graph import paths
 from repro.graph.graph import WirelessGraph
+from repro.graph.paths import source_rows_matrix
+from repro.netgen.general import barabasi_albert_network
+from repro.netgen.geometric import random_geometric_network
 from repro.netgen.pairs import (
     eligible_pairs,
+    sample_important_pairs,
     select_common_node_pairs,
     select_friend_pairs,
     select_important_pairs,
 )
+from repro.util.rng import ensure_rng
 from tests.conftest import path_graph, star_graph
 
 
@@ -261,3 +267,111 @@ class TestSelectCommonNodePairs:
             select_common_node_pairs(
                 g, common=0, m=2, p_threshold=0.5, seed=1
             )
+
+
+def loop_sample_important_pairs(
+    graph, m, p_threshold, *, seed=None, max_failure=None, oversample=8
+):
+    """The sampler as a per-node loop over full single-source rows: the
+    reference the vectorized, cutoff-bounded sampler must match draw for
+    draw (same pairs, same order, same error)."""
+    d_threshold = failure_to_length(p_threshold)
+    d_cap = None if max_failure is None else failure_to_length(max_failure)
+    rng = ensure_rng(seed)
+    nodes = graph.nodes
+    n = len(nodes)
+    out, seen, draws = [], set(), 0
+    while len(out) < m and draws < oversample * m:
+        draws += 1
+        u = nodes[rng.randrange(n)]
+        iu = graph.node_index(u)
+        distances = source_rows_matrix(graph, [iu])[0]
+        partners = []
+        for iw in range(n):
+            if iw == iu:
+                continue
+            d = distances[iw]
+            if d <= d_threshold:
+                continue
+            if d_cap is not None and d > d_cap:
+                continue
+            key = (min(iu, iw), max(iu, iw))
+            if key not in seen:
+                partners.append((iw, key))
+        if not partners:
+            continue
+        iw, key = partners[rng.randrange(len(partners))]
+        seen.add(key)
+        out.append((u, graph.index_node(iw)))
+    if len(out) < m:
+        raise InstanceError(
+            f"sampled only {len(out)} violating pairs after {draws} "
+            f"source draws (need m={m}); lower p_t or m"
+        )
+    return out
+
+
+def sampler_graph(kind, seed):
+    """An RG or BA graph with two isolated nodes (disconnected pairs)."""
+    if kind == "rg":
+        graph = random_geometric_network(
+            120, radius=0.16, max_link_failure=0.1, seed=seed
+        ).graph
+    else:
+        graph = barabasi_albert_network(
+            80, 2, failure_range=(0.01, 0.2), seed=seed
+        )
+    graph.add_nodes([10_000, 10_001])
+    return graph
+
+
+class TestSampleImportantPairsAgainstLoop:
+    @pytest.fixture(params=["scipy", "python"])
+    def backend(self, request, monkeypatch):
+        if request.param == "python":
+            monkeypatch.setattr(paths, "_scipy_available", lambda: False)
+        return request.param
+
+    @pytest.mark.parametrize("kind", ["rg", "ba"])
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    @pytest.mark.parametrize(
+        "p_threshold,max_failure",
+        # A narrow band (BA fills it only partly) and a cap below p_t
+        # (nothing qualifies) end in the oversample error.
+        [(0.03, None), (0.1, None), (0.1, 0.4), (0.05, 0.06), (0.3, 0.25)],
+    )
+    def test_matches_loop(self, backend, kind, seed, p_threshold,
+                          max_failure):
+        graph = sampler_graph(kind, seed)
+        kwargs = dict(seed=(seed, "pairs"), max_failure=max_failure)
+        try:
+            expected = loop_sample_important_pairs(
+                graph, 40, p_threshold, **kwargs
+            )
+        except InstanceError as error:
+            with pytest.raises(InstanceError) as raised:
+                sample_important_pairs(graph, 40, p_threshold, **kwargs)
+            assert str(raised.value) == str(error)
+            return
+        assert sample_important_pairs(
+            graph, 40, p_threshold, **kwargs
+        ) == expected
+
+    def test_disconnected_partners_without_cap(self, backend):
+        g = WirelessGraph()
+        g.add_edge(0, 1, failure_probability=0.01)
+        g.add_nodes([2, 3])
+        pairs = sample_important_pairs(g, 4, 0.1, seed=5)
+        assert pairs == loop_sample_important_pairs(g, 4, 0.1, seed=5)
+        assert {frozenset(p) for p in pairs} <= {
+            frozenset(p) for p in [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        }
+
+    def test_oversample_error(self, backend):
+        g = star_graph(4, length=0.01)  # every pair meets p_t
+        with pytest.raises(InstanceError) as raised:
+            sample_important_pairs(g, 3, 0.2, seed=1, oversample=2)
+        with pytest.raises(InstanceError) as expected:
+            loop_sample_important_pairs(g, 3, 0.2, seed=1, oversample=2)
+        assert str(raised.value) == str(expected.value)
+        assert "after 6 source draws" in str(raised.value)
