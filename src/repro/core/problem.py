@@ -27,10 +27,7 @@ from repro.failure.models import length_to_failure, satisfaction_limit
 from repro.graph.distances import DistanceOracle
 from repro.graph.graph import Node, WirelessGraph
 from repro.graph.hub_labels import HubLabelOracle, threshold_cutoff
-from repro.graph.sparse_oracle import (
-    SparseRowOracle,
-    relevant_source_indices,
-)
+from repro.graph.sparse_oracle import SparseRowOracle
 from repro.types import IndexPair, NodePair, normalize_index_pair
 
 #: Oracle policy names accepted by ``MSCInstance(oracle=...)``.
@@ -40,11 +37,6 @@ ORACLE_POLICIES = ("dense", "sparse", "hub", "auto")
 #: APSP is cheap and every consumer gets O(1) row views with no ball
 #: bookkeeping.
 SPARSE_ORACLE_MIN_N = 512
-
-#: ``auto`` picks the dense tier when the relevant-source set (pair
-#: endpoints + their d_t-ball) exceeds this fraction of the nodes — a row
-#: block nearly as tall as the matrix saves nothing.
-SPARSE_MAX_RELEVANT_FRACTION = 0.5
 
 #: From this node count up ``auto`` picks the hub-label tier: the sparse
 #: row block is still ``r × n`` (its width grows with the graph), while
@@ -93,11 +85,9 @@ def resolve_oracle(
     of pair count). Both cutoff tiers search only out to
     :func:`threshold_cutoff` of ``d_t`` and are exact for every comparison
     against ``d_t``. ``auto`` picks dense below
-    :data:`SPARSE_ORACLE_MIN_N`, hub from :data:`HUB_ORACLE_MIN_N` up,
-    and in between measures the ball first (cutoff Dijkstra from the
-    endpoints — cost bounded by the ball, not the graph) and picks sparse
-    only when the relevant fraction ``r/n`` is at most
-    :data:`SPARSE_MAX_RELEVANT_FRACTION`.
+    :data:`SPARSE_ORACLE_MIN_N` (or without pairs), hub from
+    :data:`HUB_ORACLE_MIN_N` up, and sparse in between — exactly what the
+    ``sparse`` policy builds, however much of the graph the ball covers.
     """
     if policy not in ORACLE_POLICIES:
         raise InstanceError(
@@ -105,24 +95,20 @@ def resolve_oracle(
             f"available: {', '.join(ORACLE_POLICIES)}"
         )
     seeds = sorted({i for pair in pair_indices for i in pair})
-    cutoff = threshold_cutoff(d_threshold)
-    if policy == "sparse":
-        return SparseRowOracle(
-            graph, seeds, radius=d_threshold, cutoff=cutoff
-        )
+    if policy == "auto":
+        n = graph.number_of_nodes()
+        if n < SPARSE_ORACLE_MIN_N or not seeds:
+            policy = "dense"
+        elif n >= HUB_ORACLE_MIN_N:
+            policy = "hub"
+        else:
+            policy = "sparse"
     if policy == "dense":
         return DistanceOracle(graph)
+    cutoff = threshold_cutoff(d_threshold)
     if policy == "hub":
         return HubLabelOracle(graph, cutoff=cutoff)
-    n = graph.number_of_nodes()
-    if n < SPARSE_ORACLE_MIN_N or not seeds:
-        return DistanceOracle(graph)
-    if n >= HUB_ORACLE_MIN_N:
-        return HubLabelOracle(graph, cutoff=cutoff)
-    sources = relevant_source_indices(graph, seeds, d_threshold)
-    if sources.size > SPARSE_MAX_RELEVANT_FRACTION * n:
-        return DistanceOracle(graph)
-    return SparseRowOracle(graph, sources=sources, cutoff=cutoff)
+    return SparseRowOracle(graph, seeds, radius=d_threshold, cutoff=cutoff)
 
 
 class MSCInstance:
@@ -167,9 +153,9 @@ class MSCInstance:
             ``"dense"`` / ``"sparse"`` / ``"hub"`` / ``"auto"``, or
             ``None`` to use the process default policy (see
             :func:`set_default_oracle_policy`; initially ``"auto"``, which
-            keeps paper-scale instances dense, switches large instances to
-            the pair-centric sparse row block, and n ≥ 10⁴ instances to
-            the hub-label index).
+            keeps small instances dense and gives larger ones the
+            pair-centric cutoff row block, or from n = 10⁴ up the cutoff
+            hub-label index — see :func:`resolve_oracle`).
     """
 
     def __init__(

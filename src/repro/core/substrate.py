@@ -232,7 +232,7 @@ def _oracle_descriptor(oracle: OracleLike) -> str:
         sources = ",".join(str(int(s)) for s in oracle.source_indices)
         return f"sparse:{sources}:{oracle.cutoff!r}"
     if isinstance(oracle, HubLabelOracle):
-        return f"hub:{getattr(oracle, '_cutoff', None)!r}"
+        return f"hub:{oracle.cutoff!r}"
     return "dense"
 
 

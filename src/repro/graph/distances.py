@@ -14,9 +14,8 @@ written against the *row* accessors — ``row_by_index``, ``rows``,
 against a full square matrix. That is what
 lets :class:`~repro.graph.sparse_oracle.SparseRowOracle` slot in behind the
 same call sites with an ``r × n`` row block (``r ≪ n``) instead of the
-O(n²) matrix. ``matrix`` remains available on both tiers for legacy
-consumers, but on the sparse tier it materializes the full matrix and
-should be avoided on hot paths.
+O(n²) matrix. Only this dense tier has ``matrix``, for the consumers
+that still read the full square.
 
 Every full build of distance rows bumps the class-level ``build_count``
 (process-local), which the shared-memory fan-out tests use to assert that

@@ -15,28 +15,23 @@ rank) hubs. The index is exact and its footprint is the total label size —
 on the bounded-degree geometric graphs the experiments use, a few entries
 per node, independent of ``n``.
 
-Threshold-cutoff mode
----------------------
+Threshold cutoff
+----------------
 
 The MSC solver stack never needs arbitrary distances: every decision
 compares a distance (or a sum of individually-small legs) against
-``limit = d_t + tol``. Passing ``cutoff >= limit`` to the builder bounds
-every root's search by the cutoff ball, making the build ``O(n · ball)``
-— seconds at n=10⁵ in pure Python — while keeping every query **exact for
-true distances ≤ cutoff**. Queries beyond the cutoff return an upper
-bound (usually ``inf``): each label entry is a real path, so reported
-distances are never below the true distance, and any true distance within
-the cutoff is covered by the max-rank-hub argument (all certificate
-distances involved are themselves ≤ cutoff). Solver comparisons
-``d <= limit`` therefore resolve identically to a full oracle, which is
-what keeps placements identical across tiers (asserted by the tier tests
-and the benchmark harness).
-
-The built index is four flat CSR-like buffers (``label_indptr``,
-``label_hubs`` in rank space, ``label_dists``, plus a tiny meta array) —
-exactly the shape :mod:`repro.experiments.shm` publishes, so a parallel
-fan-out builds the index once and every worker attaches zero-copy views
-(:meth:`HubLabelOracle.index_arrays` / :meth:`HubLabelOracle.with_arrays`).
+``limit = d_t + tol``. The builder bounds every root's search by the
+``cutoff`` ball (the policies pass ``threshold_cutoff(d_t) >= limit``),
+making the build ``O(n · ball)`` — seconds at n=10⁵ in pure Python — while
+keeping every query **exact for true distances ≤ cutoff**. Queries beyond
+the cutoff return an upper bound (usually ``inf``): each label entry is a
+real path, so reported distances are never below the true distance, and
+any true distance within the cutoff is covered by the max-rank-hub
+argument (all certificate distances involved are themselves ≤ cutoff).
+Solver comparisons ``d <= limit`` therefore resolve identically to a full
+oracle, which is what keeps placements identical across tiers (asserted by
+the tier tests and the benchmark harness). ``cutoff=math.inf`` builds the
+full exact index through the same search.
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -71,15 +66,15 @@ class HubLabelOracle:
 
     Args:
         graph: the base graph (must not be mutated afterwards).
-        cutoff: optional distance bound. ``None`` builds a full exact
-            index; a finite cutoff bounds the per-root search to the
-            cutoff ball, keeping queries exact for true distances ≤ cutoff
-            and upper bounds (typically ``inf``) beyond — sufficient for
-            every threshold comparison the solvers make (see module docs).
+        cutoff: distance bound on the per-root search, keeping queries
+            exact for true distances ≤ cutoff and upper bounds (typically
+            ``inf``) beyond — sufficient for every threshold comparison the
+            solvers make (see module docs); ``math.inf`` builds the full
+            exact index.
     """
 
-    #: Process-local count of label-index builds (adopted indexes do not
-    #: count) — see :class:`~repro.graph.distances.DistanceOracle`.
+    #: Process-local count of label-index builds — see
+    #: :class:`~repro.graph.distances.DistanceOracle`.
     build_count: int = 0
 
     #: Row-cache capacity: full n-width rows are off the hot path for this
@@ -92,52 +87,13 @@ class HubLabelOracle:
     #: costs only the ball.
     prefers_ball_universe = True
 
-    def __init__(
-        self,
-        graph: WirelessGraph,
-        *,
-        cutoff: Optional[float] = None,
-    ) -> None:
-        if cutoff is not None and cutoff < 0:
+    def __init__(self, graph: WirelessGraph, *, cutoff: float) -> None:
+        if cutoff < 0:
             raise GraphError(f"negative cutoff {cutoff}")
         self._graph = graph
-        self._cutoff = None if cutoff is None else float(cutoff)
+        self._cutoff = float(cutoff)
         self._build()
         HubLabelOracle.build_count += 1
-        self._finalize()
-
-    @classmethod
-    def with_arrays(
-        cls,
-        graph: WirelessGraph,
-        arrays: Dict[str, np.ndarray],
-    ) -> "HubLabelOracle":
-        """Oracle adopting an already-built index (shared-memory attach
-        path; the arrays are used as-is, read-only)."""
-        oracle = cls.__new__(cls)
-        oracle._graph = graph
-        n = graph.number_of_nodes()
-        indptr = np.asarray(arrays["label_indptr"], dtype=np.int64)
-        hubs = np.asarray(arrays["label_hubs"], dtype=np.int64)
-        dists = np.asarray(arrays["label_dists"], dtype=np.float64)
-        meta = np.asarray(arrays["meta"], dtype=np.float64)
-        if indptr.shape != (n + 1,):
-            raise ValueError(
-                f"label_indptr shape {indptr.shape} != ({n + 1},)"
-            )
-        if hubs.shape != dists.shape or hubs.ndim != 1:
-            raise ValueError("label_hubs/label_dists shape mismatch")
-        if int(indptr[-1]) != hubs.size:
-            raise ValueError(
-                f"label_indptr[-1]={int(indptr[-1])} != {hubs.size} entries"
-            )
-        cutoff = float(meta[0])
-        oracle._cutoff = None if math.isinf(cutoff) else cutoff
-        oracle._indptr = indptr
-        oracle._hubs = hubs
-        oracle._dists = dists
-        oracle._finalize()
-        return oracle
 
     # ----------------------------------------------------------- the build
 
@@ -150,13 +106,12 @@ class HubLabelOracle:
         # become hubs first, which is what keeps labels short on the
         # hub-and-spoke structure of geometric/social graphs.
         order = np.lexsort((np.arange(n), -np.diff(indptr))).tolist()
-        if cutoff is not None:
-            # From any d >= 0 an edge longer than the cutoff reaches
-            # d + length > cutoff, which the search never relaxes; drop
-            # such edges up front (each node keeps its neighbor order).
-            keep = lengths <= cutoff
-            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
-            indices, lengths = indices[keep], lengths[keep]
+        # From any d >= 0 an edge longer than the cutoff reaches
+        # d + length > cutoff, which the search never relaxes; drop such
+        # edges up front (each node keeps its neighbor order).
+        keep = lengths <= cutoff
+        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+        indices, lengths = indices[keep], lengths[keep]
         edges = list(zip(indices.tolist(), lengths.tolist()))
         bounds = indptr.tolist()
         adjacency = [edges[bounds[u] : bounds[u + 1]] for u in range(n)]
@@ -176,7 +131,7 @@ class HubLabelOracle:
                 d, u = heapq.heappop(heap)
                 if d > dist.get(u, INFINITY):
                     continue
-                if cutoff is not None and d > cutoff:
+                if d > cutoff:
                     break  # popped non-decreasing: the rest is farther
                 # Prune when an earlier (higher-rank) hub pair already
                 # certifies a distance this short.
@@ -193,7 +148,7 @@ class HubLabelOracle:
                 dists_u.append(d)
                 for v, length in adjacency[u]:
                     nd = d + length
-                    if cutoff is not None and nd > cutoff:
+                    if nd > cutoff:
                         continue
                     if nd < dist.get(v, INFINITY):
                         dist[v] = nd
@@ -210,15 +165,9 @@ class HubLabelOracle:
         self._dists = np.array(
             [d for dists in label_dists for d in dists], dtype=np.float64
         )
-
-    def _finalize(self) -> None:
-        """Derived query plumbing shared by build and adoption."""
-        n = self._graph.number_of_nodes()
         for array in (self._indptr, self._hubs, self._dists):
-            if array.flags.writeable:
-                array.setflags(write=False)
-        lengths = np.diff(self._indptr)
-        self._nonempty = lengths > 0
+            array.setflags(write=False)
+        self._nonempty = np.diff(self._indptr) > 0
         self._segment_starts = self._indptr[:-1][self._nonempty]
         # Rank-space scratch for the vectorized row queries; only entries
         # touched by a query are reset, so queries stay O(label size).
@@ -232,8 +181,8 @@ class HubLabelOracle:
         return self._graph
 
     @property
-    def cutoff(self) -> Optional[float]:
-        """The build cutoff (``None`` = full exact index)."""
+    def cutoff(self) -> float:
+        """The build cutoff."""
         return self._cutoff
 
     def number_of_nodes(self) -> int:
@@ -248,17 +197,6 @@ class HubLabelOracle:
         return (
             self._indptr.nbytes + self._hubs.nbytes + self._dists.nbytes
         )
-
-    def index_arrays(self) -> Dict[str, np.ndarray]:
-        """The flat index buffers, keyed for :func:`repro.experiments.shm`
-        publication (adopt on the other side via :meth:`with_arrays`)."""
-        cutoff = INFINITY if self._cutoff is None else self._cutoff
-        return {
-            "label_indptr": self._indptr,
-            "label_hubs": self._hubs,
-            "label_dists": self._dists,
-            "meta": np.array([cutoff], dtype=np.float64),
-        }
 
     # -------------------------------------------------------------- queries
 
@@ -384,30 +322,8 @@ class HubLabelOracle:
             self._clear_scratch(touched)
         return out
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Full ``n × n`` matrix for legacy consumers (full mode only).
-
-        A cutoff index is exact only within the cutoff, so serving the
-        matrix would silently hand out upper bounds — refuse instead
-        (threshold-sliced consumers use the row/``rows_to`` accessors).
-        """
-        if self._cutoff is not None:
-            raise GraphError(
-                "a cutoff hub-label index cannot serve the full matrix "
-                f"(exact only within cutoff={self._cutoff}); build with "
-                "cutoff=None or use a dense/sparse oracle"
-            )
-        n = self._graph.number_of_nodes()
-        full = np.vstack([self.row_by_index(i) for i in range(n)])
-        full.setflags(write=False)
-        return full
-
     def __repr__(self) -> str:
-        cutoff = (
-            "full" if self._cutoff is None else f"cutoff={self._cutoff:.4g}"
-        )
         return (
             f"HubLabelOracle(n={self._graph.number_of_nodes()}, "
-            f"labels={self.label_count()}, {cutoff})"
+            f"labels={self.label_count()}, cutoff={self._cutoff:.4g})"
         )

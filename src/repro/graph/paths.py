@@ -1,8 +1,9 @@
 """Shortest-path algorithms over :class:`~repro.graph.graph.WirelessGraph`.
 
 A pure-Python binary-heap Dijkstra is the reference implementation; the
-all-pairs matrix additionally has a scipy fast path (``scipy.sparse.csgraph``)
-that is used automatically when scipy is importable. Both produce identical
+row searches (:func:`source_rows_matrix`, and through it the all-pairs
+matrix) additionally have a scipy fast path (``scipy.sparse.csgraph``) that
+is used automatically when scipy is importable. Both produce identical
 results (covered by tests).
 """
 
@@ -123,13 +124,12 @@ def all_pairs_distance_matrix(
     disconnected), indexed by the graph's dense node indices.
 
     *use_scipy* forces the scipy (`True`) or pure-Python (`False`) backend;
-    ``None`` auto-selects scipy when available.
+    ``None`` auto-selects scipy when available. This is
+    :func:`source_rows_matrix` from every node.
     """
-    if use_scipy is None:
-        use_scipy = _scipy_available()
-    if use_scipy:
-        return _apsp_scipy(graph)
-    return _apsp_python(graph)
+    return source_rows_matrix(
+        graph, range(graph.number_of_nodes()), use_scipy=use_scipy
+    )
 
 
 def _scipy_available() -> bool:
@@ -174,20 +174,6 @@ def _scipy_graph(graph: WirelessGraph):
     return csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _apsp_python(graph: WirelessGraph) -> np.ndarray:
-    n = graph.number_of_nodes()
-    matrix = np.full((n, n), INFINITY)
-    for src in range(n):
-        matrix[src, :] = _dijkstra_indices(graph, src)
-    return matrix
-
-
-def _apsp_scipy(graph: WirelessGraph) -> np.ndarray:
-    from scipy.sparse.csgraph import dijkstra as sp_dijkstra
-
-    return sp_dijkstra(_scipy_graph(graph), directed=False)
-
-
 def source_rows_matrix(
     graph: WirelessGraph,
     sources: Sequence[int],
@@ -197,10 +183,9 @@ def source_rows_matrix(
     """Shortest-path distances from each of *sources* to every node, as a
     ``(len(sources), n)`` row block (``inf`` when disconnected).
 
-    The source-restricted analogue of :func:`all_pairs_distance_matrix`:
-    cost scales with the number of sources, not with ``n`` squared, which
-    is what the sparse distance-oracle tier is built on. Both backends
-    produce identical rows to their all-pairs counterparts.
+    Cost scales with the number of sources, not with ``n`` squared, which
+    is what the sparse distance-oracle tier is built on; from every node
+    it is :func:`all_pairs_distance_matrix`.
 
     *limit* bounds every search at that distance, so each source costs
     its ``limit``-ball instead of the graph: an entry at most *limit*
@@ -230,9 +215,18 @@ def source_row_search(
     if use_scipy is None:
         use_scipy = _scipy_available()
     if not use_scipy:
-        return lambda sources: np.vstack(
-            [_dijkstra_indices(graph, int(src), limit) for src in sources]
-        )
+        n = graph.number_of_nodes()
+
+        def search(sources: Sequence[int]) -> np.ndarray:
+            # Row by row into one block: stacking per-row Python lists
+            # would hold every row as float objects at once (up to ~4×
+            # the block for the all-pairs matrix).
+            rows = np.empty((len(sources), n))
+            for slot, src in enumerate(sources):
+                rows[slot] = _dijkstra_indices(graph, int(src), limit)
+            return rows
+
+        return search
     from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
     csr = _scipy_graph(graph)

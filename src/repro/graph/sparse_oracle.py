@@ -15,21 +15,21 @@ later greedy round placing a shortcut endpoint discovered through an
 earlier shortcut's ball) fills that row lazily with one more Dijkstra run
 and caches it. The oracle only chooses which rows to precompute.
 
-Cutoff mode
------------
+Cutoff
+------
 
-By the same observation no search needs to go past ``d_t`` either. With
-``cutoff=threshold_cutoff(d_t)`` every row search (block and stragglers)
-stops at the cutoff, so a build costs ``r`` cutoff balls instead of ``r``
-whole-graph searches. A distance at most the cutoff is exact — bit for
-bit the full row's entry — and a larger one reads ``inf``, an upper
-bound. This is the hub tier's threshold-cutoff argument (see
+By the same observation no search needs to go past ``d_t`` either, so
+every row search (block and stragglers) stops at ``cutoff`` — the policies
+pass ``threshold_cutoff(d_t)`` — and a build costs ``r`` cutoff balls
+instead of ``r`` whole-graph searches. A distance at most the cutoff is
+exact — bit for bit the full row's entry — and a larger one reads ``inf``,
+an upper bound. This is the hub tier's threshold-cutoff argument (see
 :mod:`repro.graph.hub_labels`): every solver decision compares a distance,
 or a sum of non-negative legs, against ``satisfaction_limit(d_t)``, which
 is below the cutoff, so each comparison resolves exactly as on a full
-oracle and placements stay identical. A cutoff block refuses
-:attr:`SparseRowOracle.matrix`, and an instance refuses a request whose
-threshold lies beyond it. ``cutoff=None`` keeps exact full rows.
+oracle and placements stay identical. An instance refuses a request whose
+threshold lies beyond the cutoff. ``cutoff=math.inf`` gives exact full
+rows through the same searches.
 """
 
 from __future__ import annotations
@@ -75,17 +75,14 @@ class SparseRowOracle:
         use_scipy: force the scipy/pure-Python backend (``None`` = auto).
             The same backend serves lazy fills, so every row matches what a
             dense oracle with the same setting would hold.
-        sources: precomputed relevant-source indices (skips the ball
-            expansion; used by the auto-selection policy, which has already
-            measured the ball).
-        cutoff: optional distance bound on every row search. ``None``
-            keeps exact full rows; a finite cutoff keeps entries exact up
-            to the cutoff and reads ``inf`` beyond it — sufficient for
-            every threshold comparison the solvers make (see module docs).
+        cutoff: distance bound on every row search. Entries are exact up
+            to the cutoff and read ``inf`` beyond it — sufficient for every
+            threshold comparison the solvers make (see module docs);
+            ``math.inf`` keeps exact full rows.
     """
 
-    #: Process-local count of row-block builds (adopted blocks do not
-    #: count) — see :class:`~repro.graph.distances.DistanceOracle`.
+    #: Process-local count of row-block builds — see
+    #: :class:`~repro.graph.distances.DistanceOracle`.
     build_count: int = 0
 
     def __init__(
@@ -95,54 +92,23 @@ class SparseRowOracle:
         *,
         radius: Optional[float] = None,
         use_scipy: Optional[bool] = None,
-        sources: Optional[Sequence[int]] = None,
-        cutoff: Optional[float] = None,
+        cutoff: float,
     ) -> None:
-        if cutoff is not None and cutoff < 0:
+        if cutoff < 0:
             raise GraphError(f"negative cutoff {cutoff}")
+        n = graph.number_of_nodes()
+        if any(not 0 <= int(s) < n for s in seeds):
+            raise GraphError(f"seed indices out of range for n={n}")
         self._graph = graph
         self._use_scipy = use_scipy
-        self._cutoff = None if cutoff is None else float(cutoff)
-        n = graph.number_of_nodes()
-        if sources is None:
-            sources = relevant_source_indices(graph, seeds, radius)
-        self._sources = np.asarray(sources, dtype=np.intp)
-        if self._sources.size and not (
-            0 <= int(self._sources.min())
-            and int(self._sources.max()) < n
-        ):
-            raise GraphError(
-                f"source indices out of range for n={n}"
-            )
+        self._cutoff = float(cutoff)
+        self._sources = relevant_source_indices(graph, seeds, radius)
         self._slot_of: Dict[int, int] = {
             int(s): i for i, s in enumerate(self._sources)
         }
         self._block: Optional[np.ndarray] = None
         self._extra: Dict[int, np.ndarray] = {}
         self._lazy_fills = 0
-
-    @classmethod
-    def with_block(
-        cls,
-        graph: WirelessGraph,
-        sources: Sequence[int],
-        block: np.ndarray,
-    ) -> "SparseRowOracle":
-        """Oracle adopting an already-computed row *block* of full rows for
-        *sources* (shared-memory attach path; the block is used as-is,
-        read-only)."""
-        oracle = cls(graph, sources=sources)
-        n = graph.number_of_nodes()
-        if block.shape != (oracle._sources.size, n):
-            raise ValueError(
-                f"block shape {block.shape} != "
-                f"({oracle._sources.size}, {n})"
-            )
-        if block.flags.writeable:
-            block = block.view()
-            block.setflags(write=False)
-        oracle._block = block
-        return oracle
 
     # ------------------------------------------------------------ the block
 
@@ -151,8 +117,8 @@ class SparseRowOracle:
         return self._graph
 
     @property
-    def cutoff(self) -> Optional[float]:
-        """The row-search cutoff (``None`` = exact full rows)."""
+    def cutoff(self) -> float:
+        """The row-search cutoff."""
         return self._cutoff
 
     @property
@@ -261,43 +227,9 @@ class SparseRowOracle:
             self._graph.node_index(u), self._graph.node_index(v)
         )
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Full ``n x n`` matrix for legacy consumers (full rows only).
-
-        Materializing it forfeits the sparse tier's memory savings (every
-        missing row is computed), so hot paths must use the row accessors;
-        this exists so code written against the dense oracle still returns
-        exact results when handed a sparse one. A cutoff block is exact
-        only within its cutoff, so it refuses, as a cutoff hub index does.
-        """
-        if self._cutoff is not None:
-            raise GraphError(
-                "a cutoff sparse row block cannot serve the full matrix "
-                f"(exact only within cutoff={self._cutoff}); build with "
-                "cutoff=None or use the row accessors"
-            )
-        n = self._graph.number_of_nodes()
-        missing = [
-            i
-            for i in range(n)
-            if i not in self._slot_of and i not in self._extra
-        ]
-        if missing:
-            filled = self._search_rows(missing)
-            for index, row in zip(missing, filled):
-                row.setflags(write=False)
-                self._extra[index] = row
-            self._lazy_fills += len(missing)
-        full = np.vstack([self.row_by_index(i) for i in range(n)])
-        full.setflags(write=False)
-        return full
-
     def __repr__(self) -> str:
-        cutoff = (
-            "" if self._cutoff is None else f", cutoff={self._cutoff:.4g}"
-        )
         return (
             f"SparseRowOracle(n={self._graph.number_of_nodes()}, "
-            f"r={self._sources.size}, lazy={self._lazy_fills}{cutoff})"
+            f"r={self._sources.size}, lazy={self._lazy_fills}, "
+            f"cutoff={self._cutoff:.4g})"
         )

@@ -56,6 +56,12 @@ from repro.util.serialization import TaskJournal, canonical_key
 #: any single request's latency.
 DEFAULT_BATCH_WINDOW = 0.005
 
+#: Longest request line a TCP connection accepts, in bytes (newline
+#: excluded). 1 MiB holds a request with about 70,000 explicit pairs; a
+#: longer line is answered with one ``ProtocolError`` and skipped, and the
+#: connection stays open.
+MAX_REQUEST_LINE_BYTES = 1 << 20
+
 
 class _Batch:
     """Requests admitted against one substrate, awaiting a single flush."""
@@ -547,6 +553,19 @@ class PlannerService:
 # ------------------------------------------------------------- transports
 
 
+async def _respond(
+    response: Dict[str, Any],
+    writer: asyncio.StreamWriter,
+    write_lock: asyncio.Lock,
+) -> None:
+    async with write_lock:
+        writer.write(encode_response(response))
+        try:
+            await writer.drain()
+        except ConnectionError:
+            pass
+
+
 async def _serve_line(
     service: PlannerService,
     line: bytes,
@@ -554,12 +573,22 @@ async def _serve_line(
     write_lock: asyncio.Lock,
 ) -> None:
     response = await service.handle_line(line.decode("utf-8", "replace"))
-    async with write_lock:
-        writer.write(encode_response(response))
+    await _respond(response, writer, write_lock)
+
+
+async def _skip_line(reader: asyncio.StreamReader, consumed: int) -> None:
+    """Discard the rest of an over-long line, through its newline or to
+    the end of the stream. *consumed* is the newline-free prefix already
+    buffered (a ``LimitOverrunError``'s ``consumed``)."""
+    while True:
+        await reader.readexactly(consumed)
         try:
-            await writer.drain()
-        except ConnectionError:
-            pass
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.IncompleteReadError:
+            return
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
 
 
 async def _handle_connection(
@@ -573,7 +602,21 @@ async def _handle_connection(
     pending = set()
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                line = exc.partial  # end of stream: b"" or a last line
+            except asyncio.LimitOverrunError as exc:
+                await _skip_line(reader, exc.consumed)
+                service.error_count += 1
+                oversized = ProtocolError(
+                    "request line longer than "
+                    f"{MAX_REQUEST_LINE_BYTES} bytes"
+                )
+                await _respond(
+                    error_response(None, oversized), writer, write_lock
+                )
+                continue
             if not line:
                 break
             if not line.strip():
@@ -613,7 +656,9 @@ async def serve_socket(
         finally:
             connections.discard((task, writer))
 
-    server = await asyncio.start_server(handler, host, port)
+    server = await asyncio.start_server(
+        handler, host, port, limit=MAX_REQUEST_LINE_BYTES
+    )
     bound = server.sockets[0].getsockname()
     if ready is not None:
         ready(bound[0], bound[1])

@@ -318,7 +318,7 @@ def _kernel_oracles(graph):
     return {
         "dense": "dense",
         "sparse": "sparse",
-        "hub-full": HubLabelOracle(graph),
+        "hub-full": HubLabelOracle(graph, cutoff=math.inf),
         "hub-cutoff": "hub",
     }
 

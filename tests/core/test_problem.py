@@ -229,7 +229,6 @@ class TestHubThresholdGuard:
         from repro.graph.hub_labels import HubLabelOracle
 
         g = path_graph([1.0] * 4)
-        inst = MSCInstance(
-            g, [(0, 4)], k=1, d_threshold=3.5, oracle=HubLabelOracle(g)
-        )
+        full = HubLabelOracle(g, cutoff=math.inf)
+        inst = MSCInstance(g, [(0, 4)], k=1, d_threshold=3.5, oracle=full)
         assert inst.oracle_kind == "hub"

@@ -3,8 +3,9 @@ included: the sparse row block and the hub index search only out to
 ``threshold_cutoff(d_t)``, and every solver decision must resolve as it
 does on the full dense matrix. Sandwich, AEA and σ-greedy run on RG
 instances at n=600 and n=2000; the MSC-CN solvers on a common-node
-instance at n=600 (they read rows since the cutoff tiers refuse
-``.matrix``)."""
+instance at n=600 (they read rows since the cutoff tiers have no
+``.matrix``). Where the ``d_t``-ball covers most of the graph, ``auto``
+builds the cutoff block and places as the dense matrix does."""
 
 import math
 
@@ -14,7 +15,10 @@ from repro.core.evaluator import SigmaEvaluator
 from repro.core.greedy import greedy_placement
 from repro.core.problem import MSCInstance
 from repro.core.registry import get_solver
+from repro.failure.models import failure_to_length
 from repro.graph.distances import DistanceOracle
+from repro.graph.hub_labels import threshold_cutoff
+from repro.graph.sparse_oracle import relevant_source_indices
 from repro.netgen.geometric import random_geometric_network
 from repro.netgen.pairs import (
     sample_important_pairs,
@@ -23,6 +27,8 @@ from repro.netgen.pairs import (
 
 TIERS = ("dense", "sparse", "hub")
 P_T = 0.03
+#: Wide enough that the pairs' d_t-ball covers most of an n=600 graph.
+WIDE_P_T = 0.10
 
 
 def rg_graph(n):
@@ -39,7 +45,9 @@ def tier_instances(graph, pairs, k):
     for tier, instance in instances.items():
         assert instance.oracle_kind == tier
         if tier != "dense":
-            assert instance.oracle.cutoff is not None
+            assert instance.oracle.cutoff == threshold_cutoff(
+                instance.d_threshold
+            )
     return instances
 
 
@@ -106,3 +114,46 @@ class TestCommonNodeSolvers:
         assert results["sparse"] == results["dense"]
         assert results["hub"] == results["dense"]
         assert results["dense"][1] > 0  # the placement rescues pairs
+
+
+@pytest.mark.slow
+class TestAutoOverWideBall:
+    """``auto`` used to build the dense matrix where the d_t-ball covers
+    more than half the graph; it now builds the sparse policy's cutoff
+    block there, and every placement stays the same."""
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        graph = rg_graph(600)
+        pairs = sample_important_pairs(
+            graph, 60, WIDE_P_T, seed=(600, "auto")
+        )
+        seeds = {graph.node_index(node) for pair in pairs for node in pair}
+        ball = relevant_source_indices(
+            graph, seeds, failure_to_length(WIDE_P_T)
+        )
+        # The old fallback region: more than half the nodes are sources.
+        assert ball.size > graph.number_of_nodes() / 2
+        instances = {
+            tier: MSCInstance(
+                graph, pairs, k=5, p_threshold=WIDE_P_T, oracle=tier
+            )
+            for tier in ("dense", "auto")
+        }
+        assert instances["auto"].oracle_kind == "sparse"
+        return instances
+
+    def test_sigma_greedy(self, instances):
+        placements = {
+            tier: greedy_placement(SigmaEvaluator(instance), instance.k)
+            for tier, instance in instances.items()
+        }
+        assert placements["auto"] == placements["dense"]
+        assert placements["dense"]
+
+    def test_sandwich(self, instances):
+        results = {
+            tier: outcome(get_solver("sandwich")(instance))
+            for tier, instance in instances.items()
+        }
+        assert results["auto"] == results["dense"]

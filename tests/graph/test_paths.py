@@ -162,8 +162,9 @@ class TestAgainstNetworkx:
 
 class TestZeroLengthEdgeBackends:
     """Regression for the scipy zero-length workaround: csgraph drops
-    explicit zeros from sparse matrices, so ``_apsp_scipy`` bumps them to
-    1e-300. Both backends must agree on graphs with exact-zero edges."""
+    explicit zeros from sparse matrices, so the scipy row search bumps
+    them to 1e-300. Both backends must agree on graphs with exact-zero
+    edges."""
 
     def _assert_backends_agree(self, g):
         pytest.importorskip("scipy")

@@ -34,7 +34,7 @@ class TestAgreementWithDense:
     def test_block_rows_match_dense_matrix(self):
         g = grid_graph(4, 4)
         dense = DistanceOracle(g)
-        sparse = SparseRowOracle(g, [0, 5, 15], radius=2.0)
+        sparse = SparseRowOracle(g, [0, 5, 15], radius=2.0, cutoff=math.inf)
         for src in sparse.source_indices:
             assert np.array_equal(
                 sparse.row_by_index(int(src)), dense.matrix[int(src)]
@@ -43,7 +43,7 @@ class TestAgreementWithDense:
     def test_straggler_rows_match_dense_matrix(self):
         g = grid_graph(4, 4)
         dense = DistanceOracle(g)
-        sparse = SparseRowOracle(g, [0], radius=1.0)
+        sparse = SparseRowOracle(g, [0], radius=1.0, cutoff=math.inf)
         outside = [
             i
             for i in range(g.number_of_nodes())
@@ -60,7 +60,7 @@ class TestAgreementWithDense:
         g.add_edge(0, 1, length=1.0)
         g.add_edge(2, 3, length=1.0)  # separate component
         dense = DistanceOracle(g)
-        sparse = SparseRowOracle(g, [0], radius=5.0)
+        sparse = SparseRowOracle(g, [0], radius=5.0, cutoff=math.inf)
         assert math.isinf(sparse.distance_by_index(0, 2))
         assert np.array_equal(sparse.row_by_index(0), dense.matrix[0])
         # A straggler row from the other component agrees too.
@@ -72,15 +72,9 @@ class TestAgreementWithDense:
         g.add_edge(1, 2, length=1.0)
         g.add_edge(2, 3, length=0.0)
         dense = DistanceOracle(g)
-        sparse = SparseRowOracle(g, [0], radius=0.5)
+        sparse = SparseRowOracle(g, [0], radius=0.5, cutoff=math.inf)
         for i in range(4):
             assert np.array_equal(sparse.row_by_index(i), dense.matrix[i])
-
-    def test_full_matrix_property_matches_dense(self):
-        g = grid_graph(3, 3)
-        dense = DistanceOracle(g)
-        sparse = SparseRowOracle(g, [0], radius=1.0)
-        assert np.array_equal(sparse.matrix, dense.matrix)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -99,7 +93,7 @@ class TestAgreementWithDense:
                 g.add_edge(u, v, length=0.0)
         seeds = rng.sample(range(12), 3)
         dense = DistanceOracle(g)
-        sparse = SparseRowOracle(g, seeds, radius=radius)
+        sparse = SparseRowOracle(g, seeds, radius=radius, cutoff=math.inf)
         for i in range(12):
             assert np.array_equal(sparse.row_by_index(i), dense.matrix[i])
         for _ in range(10):
@@ -119,8 +113,12 @@ class TestAgreementWithDense:
 
     def test_backends_agree(self):
         g = grid_graph(3, 4)
-        a = SparseRowOracle(g, [0, 11], radius=2.0, use_scipy=False)
-        b = SparseRowOracle(g, [0, 11], radius=2.0, use_scipy=True)
+        a = SparseRowOracle(
+            g, [0, 11], radius=2.0, use_scipy=False, cutoff=math.inf
+        )
+        b = SparseRowOracle(
+            g, [0, 11], radius=2.0, use_scipy=True, cutoff=math.inf
+        )
         assert np.array_equal(a.block, b.block)
 
 
@@ -132,7 +130,7 @@ class TestBlockAndLaziness:
 
     def test_lazy_fill_counted_once(self):
         g = path_graph([1.0, 1.0, 1.0])
-        sparse = SparseRowOracle(g, [0], radius=0.5)
+        sparse = SparseRowOracle(g, [0], radius=0.5, cutoff=math.inf)
         assert sparse.lazy_fills == 0
         sparse.row_by_index(3)
         assert sparse.lazy_fills == 1
@@ -141,65 +139,32 @@ class TestBlockAndLaziness:
 
     def test_block_rows_are_not_lazy_fills(self):
         g = path_graph([1.0, 1.0])
-        sparse = SparseRowOracle(g, [0, 1, 2])
+        sparse = SparseRowOracle(g, [0, 1, 2], cutoff=math.inf)
         sparse.rows([0, 1, 2])
         assert sparse.lazy_fills == 0
 
     def test_build_counter_counts_real_builds_only(self):
-        g = path_graph([1.0, 1.0])
+        g = path_graph([1.0, 1.0, 1.0])
         before = SparseRowOracle.build_count
-        sparse = SparseRowOracle(g, [0])
+        sparse = SparseRowOracle(g, [0], radius=0.5, cutoff=math.inf)
+        assert SparseRowOracle.build_count == before  # built on demand
         sparse.block  # first access builds
         sparse.block  # cached
+        sparse.row_by_index(3)  # straggler -> lazy fill, not a build
         assert SparseRowOracle.build_count == before + 1
-        adopted = SparseRowOracle.with_block(
-            g, list(sparse.source_indices), np.array(sparse.block)
-        )
-        adopted.row_by_index(0)
-        assert SparseRowOracle.build_count == before + 1
-
-    def test_adopted_block_and_lazy_fills_never_bump_build_count(self):
-        # with_block consistency: neither touching .block on an adopted
-        # oracle nor serving straggler rows may count as a build —
-        # build_count meters real row-block computations only, so the
-        # shm fan-out's per-worker adoptions stay invisible to it.
-        g = path_graph([1.0, 1.0, 1.0])
-        original = SparseRowOracle(g, [0], radius=0.5)
-        original.block  # real build
-        before = SparseRowOracle.build_count
-        adopted = SparseRowOracle.with_block(
-            g, list(original.source_indices), np.array(original.block)
-        )
-        adopted.block
-        adopted.block
-        adopted.row_by_index(3)  # straggler -> lazy fill, not a build
-        assert SparseRowOracle.build_count == before
-        assert adopted.lazy_fills == 1
-
-    def test_with_block_serves_adopted_rows(self):
-        g = path_graph([1.0, 2.0])
-        original = SparseRowOracle(g, [0, 1])
-        adopted = SparseRowOracle.with_block(
-            g, list(original.source_indices), np.array(original.block)
-        )
-        assert np.array_equal(
-            adopted.row_by_index(0), original.row_by_index(0)
-        )
-        assert not adopted.block.flags.writeable
-
-    def test_with_block_shape_mismatch_rejected(self):
-        g = path_graph([1.0, 1.0])
-        with pytest.raises(ValueError):
-            SparseRowOracle.with_block(g, [0], np.zeros((2, 3)))
+        assert sparse.lazy_fills == 1
 
     def test_out_of_range_sources_rejected(self):
         g = path_graph([1.0])
-        with pytest.raises(GraphError):
-            SparseRowOracle(g, sources=[5])
+        for radius in (None, 1.0):
+            with pytest.raises(GraphError, match="out of range"):
+                SparseRowOracle(g, [5], radius=radius, cutoff=1.0)
+            with pytest.raises(GraphError, match="out of range"):
+                SparseRowOracle(g, [-1], radius=radius, cutoff=1.0)
 
     def test_block_nbytes_counts_block_only(self):
         g = path_graph([1.0, 1.0, 1.0])
-        sparse = SparseRowOracle(g, [0], radius=1.0)
+        sparse = SparseRowOracle(g, [0], radius=1.0, cutoff=math.inf)
         assert sparse.block_nbytes() == sparse.source_indices.size * 4 * 8
 
 
@@ -222,12 +187,18 @@ class TestOraclePolicy:
         oracle = resolve_oracle(g, [(0, 4)], 2.0, "auto")
         assert isinstance(oracle, SparseRowOracle)
 
-    def test_auto_falls_back_when_ball_covers_graph(self):
+    def test_auto_builds_cutoff_block_over_wide_ball(self):
         n = SPARSE_ORACLE_MIN_N + 1
         g = path_graph([1.0] * (n - 1))
-        # radius spanning the whole path -> relevant fraction ~1 -> dense
-        oracle = resolve_oracle(g, [(0, n - 1)], float(n), "auto")
-        assert isinstance(oracle, DistanceOracle)
+        # A radius spanning the whole path puts every node in the ball;
+        # auto still builds what the sparse policy builds.
+        pairs, d_t = [(0, n - 1)], float(n)
+        auto = resolve_oracle(g, pairs, d_t, "auto")
+        explicit = resolve_oracle(g, pairs, d_t, "sparse")
+        assert isinstance(auto, SparseRowOracle)
+        assert auto.source_indices.size == n
+        assert auto.cutoff == threshold_cutoff(d_t)
+        assert Substrate(g, auto) == Substrate(g, explicit)
 
     def test_unknown_policy_rejected(self):
         g = grid_graph(2, 2)
@@ -339,8 +310,10 @@ class TestCutoffMode:
         assert math.isinf(sparse.distance_by_index(0, 4))
 
     def test_matrix_raises_with_cutoff(self):
+        # No full matrix: a cutoff block's entries beyond the cutoff are
+        # upper bounds, so a matrix reader must fail, not get them.
         sparse = SparseRowOracle(grid_graph(3, 3), [0], cutoff=1.0)
-        with pytest.raises(GraphError):
+        with pytest.raises(AttributeError):
             sparse.matrix
 
     def test_negative_cutoff_rejected(self):
@@ -379,5 +352,5 @@ class TestCutoffMode:
             return Substrate(g, oracle).fingerprint
 
         assert fingerprint(1.5) == fingerprint(1.5)
-        cutoffs = (None, 1.5, 2.5)
+        cutoffs = (math.inf, 1.5, 2.5)
         assert len({fingerprint(c) for c in cutoffs}) == 3

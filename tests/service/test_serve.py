@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
@@ -20,7 +21,11 @@ import pytest
 from repro.core.registry import solve
 from repro.experiments.workloads import rg_workload
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import PlannerService, serve_socket
+from repro.service.server import (
+    MAX_REQUEST_LINE_BYTES,
+    PlannerService,
+    serve_socket,
+)
 from repro.service.substrates import SubstrateLRU, build_workload
 
 WL_A = {"kind": "rg", "seed": 1, "n": 80}
@@ -196,6 +201,84 @@ class TestDegradation:
             assert response["error"]["type"] == "ProtocolError"
             # The connection survives and keeps serving.
             assert client.ping()
+
+    @staticmethod
+    def _line(payload):
+        return (json.dumps(payload) + "\n").encode("utf-8")
+
+    @staticmethod
+    def _answers_until(client, last_id, most=4):
+        """The response lines up to and including *last_id*'s; fails
+        rather than reading on when *most* lines bring no such answer."""
+        answers = []
+        while len(answers) < most:
+            answers.append(json.loads(client._file.readline()))
+            if answers[-1]["id"] == last_id:
+                return answers
+        raise AssertionError(f"no answer with id {last_id!r}: {answers}")
+
+    def test_line_over_asyncio_default_limit_is_served(self, server_port):
+        # asyncio's StreamReader reads at most 64 KiB per line by default;
+        # a sigma audit over 8,000 explicit pairs is a legitimate ~78 KB.
+        nodes = rg_workload(seed=WL_A["seed"], n=WL_A["n"]).graph.nodes
+        pairs = [
+            [nodes[i % len(nodes)], nodes[(i + 1) % len(nodes)]]
+            for i in range(8000)
+        ]
+        line = self._line({
+            "id": 1, "op": "sigma", "workload": WL_A, "pairs": pairs,
+            "edges": [], "p_threshold": P_T,
+        })
+        assert 64 * 1024 < len(line) < MAX_REQUEST_LINE_BYTES
+        with ServiceClient(port=server_port) as client:
+            client._file.write(line)
+            client._file.flush()
+            (answer,) = self._answers_until(client, 1)
+        assert answer["ok"], answer
+        assert answer["result"]["num_pairs"] == 8000
+
+    def test_oversized_line_gets_one_error_and_connection_survives(
+        self, server_port
+    ):
+        oversized = self._line({
+            "id": 2, "op": "ping", "pad": "x" * MAX_REQUEST_LINE_BYTES,
+        })
+        with ServiceClient(port=server_port) as client:
+            client._file.write(self._line({"id": 1, "op": "ping"}))
+            client._file.write(oversized)
+            client._file.write(self._line({"id": 3, "op": "ping"}))
+            client._file.flush()
+            answers = self._answers_until(client, 3)
+            # Exactly one answer per line: the next line is the next ping's.
+            client._file.write(self._line({"id": 4, "op": "ping"}))
+            client._file.flush()
+            answers += self._answers_until(client, 4)
+        by_id = {answer["id"]: answer for answer in answers}
+        assert len(answers) == len(by_id) == 4
+        assert all(by_id[i]["ok"] for i in (1, 3, 4))
+        assert by_id[None]["ok"] is False
+        assert by_id[None]["error"]["type"] == "ProtocolError"
+
+    def test_newline_arriving_after_the_limit_gets_one_answer(
+        self, server_port
+    ):
+        with ServiceClient(port=server_port) as client:
+            # The server sees more than the limit with no newline yet,
+            # then the line's tail and newline arrive in a later write.
+            client._file.write(b'{"id": 1, "op": "ping", "pad": "')
+            client._file.write(b"x" * (MAX_REQUEST_LINE_BYTES + 4096))
+            client._file.flush()
+            time.sleep(0.2)
+            client._file.write(b'xxxx"}\n')
+            client._file.write(self._line({"id": 2, "op": "ping"}))
+            client._file.flush()
+            answers = self._answers_until(client, 2)
+            client._file.write(self._line({"id": 3, "op": "ping"}))
+            client._file.flush()
+            answers += self._answers_until(client, 3)
+        assert [answer["id"] for answer in answers] == [None, 2, 3]
+        assert answers[0]["error"]["type"] == "ProtocolError"
+        assert answers[1]["ok"] and answers[2]["ok"]
 
     @pytest.mark.parametrize(
         "payload, match",
