@@ -10,7 +10,7 @@ Usage::
     msc-repro serve --port 7571   # long-lived planner service (JSONL)
     msc-repro describe            # workload summaries
 
-The execution-control flags (``--oracle``, ``--jobs``, ``--retries``,
+The execution-control flags (``--jobs``, ``--retries``,
 ``--task-timeout``, ``--resume``) are accepted uniformly by ``run``,
 ``robustness`` and ``serve``.
 
@@ -24,7 +24,6 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.core.problem import ORACLE_POLICIES, set_default_oracle_policy
 from repro.experiments.config import SCALES
 from repro.experiments.runner import (
     all_experiment_names,
@@ -34,18 +33,6 @@ from repro.experiments.runner import (
 from repro.util.serialization import dump_json
 
 
-def _add_oracle_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--oracle",
-        default=None,
-        choices=sorted(ORACLE_POLICIES),
-        help="distance-oracle tier for instances built without an explicit "
-        "oracle: 'dense' = full APSP matrix, 'sparse' = pair-centric row "
-        "block, 'hub' = threshold-cutoff hub-label index (n>=10^4 scale), "
-        "'auto' (the default policy) picks by instance size",
-    )
-
-
 def add_execution_args(
     parser: argparse.ArgumentParser,
     *,
@@ -53,8 +40,8 @@ def add_execution_args(
 ) -> None:
     """The execution-control flags shared by ``run``/``robustness``/``serve``.
 
-    Every command that executes placement work accepts the same five
-    knobs, with the same spellings and defaults: ``--oracle``, ``--jobs``,
+    Every command that executes placement work accepts the same four
+    knobs, with the same spellings and defaults: ``--jobs``,
     ``--retries``, ``--task-timeout`` and ``--resume``.
     """
     parser.add_argument("--jobs", type=int, default=1, help=jobs_help)
@@ -82,7 +69,6 @@ def add_execution_args(
         "same directory restores them instead of recomputing — results "
         "stay byte-identical to an uninterrupted run",
     )
-    _add_oracle_argument(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,8 +410,6 @@ def _cmd_describe() -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "oracle", None):
-        set_default_oracle_policy(args.oracle)
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

@@ -44,36 +44,11 @@ SPARSE_ORACLE_MIN_N = 512
 #: in ``O(n · ball)`` — the n=10⁴–10⁶ operating range.
 HUB_ORACLE_MIN_N = 10_000
 
-#: Module default used when ``MSCInstance`` gets no ``oracle=`` argument;
-#: settable via :func:`set_default_oracle_policy` (the CLI's ``--oracle``).
-_DEFAULT_ORACLE_POLICY = "auto"
-
-
-def set_default_oracle_policy(policy: str) -> None:
-    """Set the process-wide default oracle tier policy.
-
-    *policy* is one of :data:`ORACLE_POLICIES`. Instances built with an
-    explicit ``oracle=`` argument (including the prebuilt oracles the
-    paper-scale workloads share across thresholds) are unaffected.
-    """
-    global _DEFAULT_ORACLE_POLICY
-    if policy not in ORACLE_POLICIES:
-        raise InstanceError(
-            f"unknown oracle policy {policy!r}; "
-            f"available: {', '.join(ORACLE_POLICIES)}"
-        )
-    _DEFAULT_ORACLE_POLICY = policy
-
-
-def default_oracle_policy() -> str:
-    """The current process-wide default oracle tier policy."""
-    return _DEFAULT_ORACLE_POLICY
-
 
 def resolve_oracle(
     graph: WirelessGraph,
     pair_indices: Sequence[IndexPair],
-    d_threshold: float,
+    d_threshold: Optional[float],
     policy: str,
 ) -> OracleLike:
     """Build the distance oracle *policy* asks for.
@@ -88,6 +63,11 @@ def resolve_oracle(
     :data:`SPARSE_ORACLE_MIN_N` (or without pairs), hub from
     :data:`HUB_ORACLE_MIN_N` up, and sparse in between — exactly what the
     ``sparse`` policy builds, however much of the graph the ball covers.
+
+    A cutoff tier needs *d_threshold*: without one it raises
+    :class:`~repro.exceptions.InstanceError` instead of building an index
+    that would refuse every request. Only ``dense`` (and ``auto`` when it
+    resolves to dense) accepts ``None``.
     """
     if policy not in ORACLE_POLICIES:
         raise InstanceError(
@@ -105,6 +85,11 @@ def resolve_oracle(
             policy = "sparse"
     if policy == "dense":
         return DistanceOracle(graph)
+    if d_threshold is None:
+        raise InstanceError(
+            f"the {policy!r} oracle tier needs a distance threshold "
+            "(d_threshold or p_threshold) to set its cutoff"
+        )
     cutoff = threshold_cutoff(d_threshold)
     if policy == "hub":
         return HubLabelOracle(graph, cutoff=cutoff)
@@ -151,11 +136,10 @@ class MSCInstance:
             (its graph must be this graph — the instance then shares the
             substrate's engine cache), one of the policy names
             ``"dense"`` / ``"sparse"`` / ``"hub"`` / ``"auto"``, or
-            ``None`` to use the process default policy (see
-            :func:`set_default_oracle_policy`; initially ``"auto"``, which
-            keeps small instances dense and gives larger ones the
-            pair-centric cutoff row block, or from n = 10⁴ up the cutoff
-            hub-label index — see :func:`resolve_oracle`).
+            ``None`` for ``"auto"``, which keeps small instances dense and
+            gives larger ones the pair-centric cutoff row block, or from
+            n = 10⁴ up the cutoff hub-label index (see
+            :func:`resolve_oracle`).
     """
 
     def __init__(
@@ -187,7 +171,7 @@ class MSCInstance:
             substrate = oracle
         else:
             if oracle is None:
-                oracle = _DEFAULT_ORACLE_POLICY
+                oracle = "auto"
             if isinstance(oracle, str):
                 oracle = resolve_oracle(
                     graph, pair_indices, request.d_threshold, oracle

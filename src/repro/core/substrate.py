@@ -14,7 +14,7 @@ This module makes the two halves first-class:
   :class:`EngineCache`. Build it once, share it across thousands of
   requests (and across threads serialized by the service's admission
   batching). Substrates are hashable *by content* (:attr:`fingerprint`),
-  so caches and shared-memory registries can key on them.
+  so caches can key on them.
 * :class:`PlacementRequest` — an immutable value object carrying the pairs,
   budget ``k``, distance requirement and validation flags of one query.
 * :class:`EngineCache` — the LRU of
@@ -285,28 +285,28 @@ class Substrate:
         """Build a substrate, resolving an oracle *policy* if needed.
 
         *oracle* accepts a prebuilt oracle, a policy name (``"dense"`` /
-        ``"sparse"`` / ``"hub"`` / ``"auto"``), or ``None`` for the
-        process-default policy. Policy resolution may consult
-        *d_threshold* (or *p_threshold*) and *pair_indices* — the sparse
-        tier is pair-centric, and both it and the hub tier stop their
-        searches at the threshold, so a request with a larger threshold
-        is refused; a service substrate meant to outlive any single request
-        should pass ``oracle="dense"`` (or a prebuilt oracle) so the tier
-        is request-independent.
+        ``"sparse"`` / ``"hub"`` / ``"auto"``), or ``None`` for ``"auto"``.
+        Policy resolution may consult *d_threshold* (or *p_threshold*) and
+        *pair_indices* — the sparse tier is pair-centric, and both it and
+        the hub tier stop their searches at the threshold, so they need
+        one (:class:`~repro.exceptions.InstanceError` without it) and
+        refuse a request with a larger threshold. A service substrate meant
+        to outlive any single request should pass ``oracle="dense"`` (or a
+        prebuilt oracle) so the tier is request-independent.
         """
-        from repro.core.problem import default_oracle_policy, resolve_oracle
+        from repro.core.problem import resolve_oracle
 
         if d_threshold is None and p_threshold is not None:
             d_threshold = failure_to_length(
                 check_fraction(p_threshold, "p_threshold")
             )
         if oracle is None:
-            oracle = default_oracle_policy()
+            oracle = "auto"
         if isinstance(oracle, str):
             oracle = resolve_oracle(
                 graph,
                 list(pair_indices),
-                0.0 if d_threshold is None else float(d_threshold),
+                None if d_threshold is None else float(d_threshold),
                 oracle,
             )
         return cls(graph, oracle, engine_cache_size=engine_cache_size)

@@ -44,14 +44,27 @@ fault tolerance does not erode the determinism contract.
 
 Workers must be module-level functions with picklable arguments —
 closures (e.g. ``ratio_grid`` factories) cannot cross process boundaries,
-so parallel workers rebuild workloads from ``(scale, seed, ...)`` tuples
-instead of capturing them.
+so parallel workers get their workloads from ``(scale, seed, ...)``
+tuples instead of capturing them.
+
+Shared workloads
+----------------
+
+On Linux the pool always forks, whatever the interpreter's default start
+method. Workers therefore inherit the parent's state at pool start: the
+workloads a run registered
+(:func:`~repro.experiments.workloads.registered_workloads`) with their
+APSP matrices, and any per-process cache the parent filled before the
+fan-out. A worker that does not inherit them (another platform's start
+method) misses and rebuilds, with the same result.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
+import sys
 import threading
 import time
 import traceback
@@ -63,14 +76,12 @@ from typing import (
     Callable,
     Dict,
     List,
-    Mapping,
     Optional,
     Sequence,
     TypeVar,
 )
 
 from repro.exceptions import TaskError, TaskTimeoutError, ValidationError
-from repro.experiments import shm
 from repro.util.resilience import RetryPolicy, retry_call
 from repro.util.serialization import TaskJournal
 from repro.util.validation import check_positive_int
@@ -129,7 +140,6 @@ def fanout(
     key_fn: Optional[Callable[[T], Any]] = None,
     encode: Optional[Callable[[R], Any]] = None,
     decode: Optional[Callable[[Any], R]] = None,
-    shared: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> List[R]:
     """Map *worker* over *tasks*, optionally across worker processes.
 
@@ -155,7 +165,6 @@ def fanout(
         key_fn=key_fn,
         encode=encode,
         decode=decode,
-        shared=shared,
     )
     report.raise_on_failure()
     return list(report.results)
@@ -172,7 +181,6 @@ def fanout_report(
     key_fn: Optional[Callable[[T], Any]] = None,
     encode: Optional[Callable[[R], Any]] = None,
     decode: Optional[Callable[[Any], R]] = None,
-    shared: Optional[Mapping[str, Mapping[str, Any]]] = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> FanoutReport:
     """Fault-tolerant :func:`fanout` that collects failures per task.
@@ -190,13 +198,6 @@ def fanout_report(
             *journal*; also used to label errors and seed backoff jitter).
         encode / decode: result <-> JSON-serializable journal payload
             (default: identity — results must then be JSON-serializable).
-        shared: ``{key: {name: numpy array}}`` of large read-only arrays
-            workers resolve via :func:`repro.experiments.shm.get` instead
-            of receiving pickled copies. In the pool the arrays are
-            published to shared memory once and attached by every worker
-            (including rebuilt pools after crashes/timeouts); serially
-            they are registered in-process. Segments are unlinked on the
-            way out — normal return, task failure, or interrupt.
 
     Returns:
         A :class:`FanoutReport`; task failures are collected, not raised.
@@ -230,22 +231,16 @@ def fanout_report(
         if journal is not None:
             journal.put(key_of(tasks[i]), encode(result))
 
-    if shared is not None:
-        shm.register_local(shared)
-    try:
-        if jobs <= 1 or len(to_run) <= 1:
-            _run_serial(
-                worker, tasks, to_run, policy, task_timeout, key_of,
-                record, failures, report, sleep,
-            )
-        else:
-            _run_pool(
-                worker, tasks, to_run, jobs, policy, task_timeout, key_of,
-                record, failures, report, sleep, shared,
-            )
-    finally:
-        if shared is not None:
-            shm.unregister_local(shared)
+    if jobs <= 1 or len(to_run) <= 1:
+        _run_serial(
+            worker, tasks, to_run, policy, task_timeout, key_of,
+            record, failures, report, sleep,
+        )
+    else:
+        _run_pool(
+            worker, tasks, to_run, jobs, policy, task_timeout, key_of,
+            record, failures, report, sleep,
+        )
 
     report.failures = [failures[i] for i in sorted(failures)]
     return report
@@ -276,19 +271,12 @@ def _run_serial(
             record(i, result)
 
 
-def _init_worker(parent_pid: int, payload=None) -> None:
-    """Pool initializer: exit with the parent, attach shared arrays.
-
-    A worker whose parent was killed would otherwise block on the call
-    queue forever, and while it lives it holds the resource tracker's
-    pipe open, so the tracker never unlinks the parent's shared-memory
-    segments.
-    """
+def _init_worker(parent_pid: int) -> None:
+    """Pool initializer: exit with the parent. A worker whose parent was
+    killed would otherwise block on the call queue forever."""
     threading.Thread(
         target=_exit_when_orphaned, args=(parent_pid,), daemon=True
     ).start()
-    if payload is not None:
-        shm.attach_worker(payload)
 
 
 def _exit_when_orphaned(parent_pid: int) -> None:
@@ -311,26 +299,26 @@ def _terminate_pool(pool: ProcessPoolExecutor, kill: bool) -> None:
 
 def _run_pool(
     worker, tasks, to_run, jobs, policy, task_timeout, key_of,
-    record, failures, report, sleep, shared=None,
+    record, failures, report, sleep,
 ) -> None:
     max_workers = min(jobs, len(to_run))
     attempts = {i: 0 for i in to_run}
     eligible = {i: 0.0 for i in to_run}  # monotonic time gate (backoff)
     pending = list(to_run)
-
-    # Publish shared arrays once; every pool — the initial one and any
-    # rebuilt after a crash or timeout — attaches the same segments via
-    # its initializer, so retries see the identical read-only data.
-    publication = shm.publish(shared) if shared else None
+    # Fork on Linux, so every pool (including one rebuilt after a crash or
+    # timeout) inherits the registered workloads; see the module docs.
+    context = (
+        multiprocessing.get_context("fork")
+        if sys.platform == "linux"
+        else None
+    )
 
     def make_pool() -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=max_workers,
+            mp_context=context,
             initializer=_init_worker,
-            initargs=(
-                os.getpid(),
-                None if publication is None else publication.payload,
-            ),
+            initargs=(os.getpid(),),
         )
 
     pool = make_pool()
@@ -437,5 +425,3 @@ def _run_pool(
                 pool = make_pool()
     finally:
         _terminate_pool(pool, kill=False)
-        if publication is not None:
-            publication.close()

@@ -19,23 +19,17 @@ processes without changing a single byte of output.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.sandwich import SandwichApproximation
-from repro.experiments import shm
 from repro.experiments.parallel import fanout
 from repro.experiments.results import ExperimentResult
-from repro.experiments.workloads import Workload, rg_workload
+from repro.experiments.workloads import rg_workload
 from repro.failure.injection import (
     MODES,
     FaultInjectionHarness,
     InjectionOutcome,
 )
-from repro.graph.distances import DistanceOracle
-from repro.graph.graph import WirelessGraph, graph_signature
-from repro.graph.paths import graph_csr
 from repro.util.rng import SeedLike
 
 #: Severity grids and Monte-Carlo trials per scale.
@@ -57,58 +51,24 @@ def _config(scale: str) -> Dict:
     return _SCALES.get(scale, _SCALES["quick"])
 
 
-#: Per-process harness cache, keyed by ``(scale, repr(seed))``. The
-#: content is byte-identical whether the workload was rebuilt from
-#: scratch or adopted from shared memory, so the cache key deliberately
-#: ignores *how* the harness was built.
+#: Per-process harness cache, keyed by ``(scale, repr(seed))``.
+#: :func:`run_robustness` fills it before its fan-out, so serial cells and
+#: forked workers alike read the parent's harness.
 _HARNESS_CACHE: Dict[Tuple[str, str], Tuple[FaultInjectionHarness, int]] = {}
 _HARNESS_CACHE_MAX = 4
 
 
-def _shared_workload(shm_key: str, n: int) -> Optional[Workload]:
-    """Rebuild the RG workload from published shared-memory arrays.
-
-    The graph is reconstructed from the CSR adjacency (plus original node
-    labels) and the oracle adopts the published APSP matrix — zero
-    Dijkstra runs in the worker. Returns ``None`` when the key is not
-    resolvable in this process (e.g. a journal-restored run without the
-    publication), in which case the caller rebuilds from scratch.
-    """
-    payload = shm.maybe_get(shm_key)
-    if payload is None:
-        return None
-    graph = WirelessGraph.from_adjacency_arrays(
-        payload["indptr"],
-        payload["indices"],
-        payload["data"],
-        nodes=[int(label) for label in payload["nodes"]],
-    )
-    if graph.number_of_nodes() != n:
-        return None  # stale publication; never adopt mismatched data
-    oracle = DistanceOracle.with_matrix(graph, payload["matrix"])
-    return Workload(graph=graph, oracle=oracle, name="rg")
-
-
 def _prepared_harness(
-    scale: str, seed: SeedLike, shm_key: Optional[str] = None
+    scale: str, seed: SeedLike
 ) -> Tuple[FaultInjectionHarness, int]:
     """Workload → instance → AA placement → harness, cached per process
-    (every cell of one sweep shares the same solved placement).
-
-    With *shm_key*, the base graph and its APSP matrix are adopted from
-    shared memory instead of recomputed — the workload generator and the
-    oracle build are skipped entirely in pool workers.
-    """
+    (every cell of one sweep shares the same solved placement)."""
     cache_key = (scale, repr(seed))
     cached = _HARNESS_CACHE.get(cache_key)
     if cached is not None:
         return cached
     cfg = _config(scale)
-    workload = None
-    if shm_key is not None:
-        workload = _shared_workload(shm_key, cfg["n"])
-    if workload is None:
-        workload = rg_workload(seed=(seed, "robustness"), n=cfg["n"])
+    workload = rg_workload(seed=(seed, "robustness"), n=cfg["n"])
     instance = workload.instance(
         _P_THRESHOLD, m=cfg["m"], k=cfg["k"], seed=(seed, "pairs")
     )
@@ -126,14 +86,13 @@ def _prepared_harness(
 
 
 def _robustness_cell(
-    task: Tuple[str, SeedLike, str, float, Optional[str]]
+    task: Tuple[str, SeedLike, str, float]
 ) -> InjectionOutcome:
     """One ``(mode, severity)`` cell (module-level so it is picklable;
-    workers rebuild the placement from ``(scale, seed)`` — adopting the
-    shared-memory base graph/APSP when published — and cache it)."""
-    scale, seed, mode, severity = task[:4]
-    shm_key = task[4] if len(task) > 4 else None
-    harness, _sigma = _prepared_harness(scale, seed, shm_key)
+    a worker that did not inherit the harness cache rebuilds the
+    placement from ``(scale, seed)`` and caches it)."""
+    scale, seed, mode, severity = task
+    harness, _sigma = _prepared_harness(scale, seed)
     return harness.run(mode, severity)
 
 
@@ -146,32 +105,13 @@ def run_robustness(
     harness, baseline_sigma = _prepared_harness(scale, seed)
     instance = harness.instance
 
-    # Publish the base graph (CSR + labels) and its APSP matrix once;
-    # every worker attaches the read-only segments instead of rerunning
-    # the generator and n Dijkstra sweeps per process.
-    digest = graph_signature(instance.graph)
-    shm_key = f"oracle:{digest}"
-    indptr, indices, data = graph_csr(instance.graph)
-    shared = {
-        shm_key: {
-            "matrix": instance.oracle.matrix,
-            "indptr": indptr,
-            "indices": indices,
-            "data": data,
-            "nodes": np.asarray(
-                [int(label) for label in instance.graph.nodes],
-                dtype=np.int64,
-            ),
-        }
-    }
-
     tasks = [
-        (scale, seed, mode, severity, shm_key)
+        (scale, seed, mode, severity)
         for mode in MODES
         for severity in severities
     ]
     outcomes: List[InjectionOutcome] = fanout(
-        _robustness_cell, tasks, jobs=jobs, shared=shared
+        _robustness_cell, tasks, jobs=jobs
     )
     by_mode = {
         mode: outcomes[i * len(severities): (i + 1) * len(severities)]

@@ -45,11 +45,12 @@ from repro.experiments.robustness_exp import run_robustness
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
 from repro.experiments.workloads import (
+    Workload,
     gowalla_workload,
     gowalla_workload_key,
+    registered_workloads,
     rg_workload,
     rg_workload_key,
-    workload_arrays,
 )
 from repro.util.rng import SeedLike
 
@@ -151,47 +152,44 @@ def _decode_timed(payload: Dict) -> Tuple[ExperimentResult, float]:
     )
 
 
-#: Experiments that rebuild the scale's default RG workload
-#: (``rg_workload(seed=seed, n=preset.rg_n)``) per task.
+#: Experiments that read the scale's default RG workload
+#: (``rg_workload(seed=seed, n=preset.rg_n)``).
 _RG_N_USERS = frozenset({"table1", "fig2", "fig3", "fig4"})
 
-#: Experiments that rebuild the fixed Gowalla dataset per task.
+#: Experiments that read the fixed Gowalla dataset.
 _GOWALLA_USERS = frozenset({"table2", "fig2", "fig3", "fig4"})
 
 
 def shared_workload_payload(
     names: List[str], scale: str, seed: SeedLike
-) -> Dict[str, Dict]:
-    """Arrays of every workload the selected experiments would otherwise
-    rebuild per task, keyed for :mod:`.shm` publication.
+) -> Dict[str, Workload]:
+    """Every workload the selected experiments would otherwise build per
+    task, keyed for :func:`~.workloads.registered_workloads`.
 
     ``run_all`` tasks share three heavy builds: the fixed Gowalla dataset
     (every seed, four experiments), the scale's default RG workload
-    (four experiments per seed), and fig1's own RG size. Building each
-    once in the parent and publishing CSR + APSP lets every worker adopt
-    instead of regenerate; :func:`~.workloads.rg_workload` falls back to a
-    from-scratch build on any key miss, so the payload is a pure
-    accelerator — results are byte-identical with or without it.
+    (four experiments per seed), and fig1's own RG size. Registered, each
+    is built once in the parent and read by every task;
+    :func:`~.workloads.rg_workload` builds from scratch on any key miss,
+    so results are byte-identical with or without the registry.
     """
     from repro.experiments.config import SCALES
 
     preset = SCALES[scale]
     selected = {name.lower() for name in names}
-    payload: Dict[str, Dict] = {}
+    payload: Dict[str, Workload] = {}
 
     def add_rg(n: int) -> None:
         key = rg_workload_key(seed, n)
         if key not in payload:
-            payload[key] = workload_arrays(rg_workload(seed=seed, n=n))
+            payload[key] = rg_workload(seed=seed, n=n)
 
     if selected & _RG_N_USERS:
         add_rg(preset.rg_n)
     if "fig1" in selected:
         add_rg(preset.fig1_n)
     if selected & _GOWALLA_USERS:
-        payload[gowalla_workload_key()] = workload_arrays(
-            gowalla_workload()
-        )
+        payload[gowalla_workload_key()] = gowalla_workload()
     return payload
 
 
@@ -204,7 +202,6 @@ def run_all_report(
     checkpoint_dir: Optional[Union[str, Path]] = None,
     retries: int = 0,
     task_timeout: Optional[float] = None,
-    warm_start: bool = True,
 ) -> FanoutReport:
     """Fault-tolerant ``run_all`` returning a full :class:`FanoutReport`.
 
@@ -217,34 +214,28 @@ def run_all_report(
     anything; tasks that do run produce byte-identical output to an
     uninterrupted run.
 
-    With *warm_start* (the default), the workloads the selected
-    experiments share are built once in the parent and published via
-    shared memory (:func:`shared_workload_payload`), so each task adopts
-    the graph + APSP matrix instead of regenerating them — the dominant
-    per-task fixed cost in the fan-out. Warm start never changes results,
-    only wall-clock.
+    The workloads the selected experiments share
+    (:func:`shared_workload_payload`) are built once, APSP included, and
+    registered for this call only, so each task reads the graph and matrix
+    instead of regenerating them — the dominant per-task fixed cost.
+    Forked workers inherit the registry; it never changes results.
     """
     selected = names if names is not None else experiment_names()
     journal = (
         TaskJournal(checkpoint_dir) if checkpoint_dir is not None else None
     )
-    shared = (
-        shared_workload_payload(selected, scale, seed)
-        if warm_start
-        else None
-    )
-    return fanout_report(
-        _timed_experiment_task,
-        [(name, scale, seed) for name in selected],
-        jobs=jobs,
-        policy=policy_for_retries(retries),
-        task_timeout=task_timeout,
-        journal=journal,
-        key_fn=_task_key,
-        encode=_encode_timed,
-        decode=_decode_timed,
-        shared=shared or None,
-    )
+    with registered_workloads(shared_workload_payload(selected, scale, seed)):
+        return fanout_report(
+            _timed_experiment_task,
+            [(name, scale, seed) for name in selected],
+            jobs=jobs,
+            policy=policy_for_retries(retries),
+            task_timeout=task_timeout,
+            journal=journal,
+            key_fn=_task_key,
+            encode=_encode_timed,
+            decode=_decode_timed,
+        )
 
 
 def run_all_timed(
@@ -256,7 +247,6 @@ def run_all_timed(
     checkpoint_dir: Optional[Union[str, Path]] = None,
     retries: int = 0,
     task_timeout: Optional[float] = None,
-    warm_start: bool = True,
 ) -> List[Tuple[ExperimentResult, float]]:
     """Like :func:`run_all` but each result comes with its wall-clock
     seconds. With ``jobs > 1`` experiments run across worker processes;
@@ -273,7 +263,6 @@ def run_all_timed(
         checkpoint_dir=checkpoint_dir,
         retries=retries,
         task_timeout=task_timeout,
-        warm_start=warm_start,
     )
     report.raise_on_failure()
     return list(report.results)

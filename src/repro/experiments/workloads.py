@@ -9,18 +9,15 @@ instances ``T``, and seeds.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, Iterator, List, Mapping, Optional
 
 from repro.core.problem import MSCInstance
 from repro.core.substrate import PlacementRequest, Substrate
 from repro.dynamics.series import DynamicMSCInstance
-from repro.experiments import shm
 from repro.graph.distances import DistanceOracle
 from repro.graph.graph import WirelessGraph
-from repro.graph.paths import graph_csr
 from repro.netgen.geometric import GeometricNetwork, random_geometric_network
 from repro.netgen.gowalla import gowalla_network
 from repro.netgen.pairs import select_important_pairs
@@ -93,85 +90,45 @@ def rg_workload_key(
     radius: float = RG_RADIUS,
     max_link_failure: float = RG_MAX_LINK_FAILURE,
 ) -> str:
-    """Shared-memory key of an RG workload: the full generator recipe."""
+    """Registry key of an RG workload: the full generator recipe."""
     return (
         f"workload:rg:{seed!r}:n={n}:r={radius!r}:f={max_link_failure!r}"
     )
 
 
 def gowalla_workload_key(seed: SeedLike = None) -> str:
-    """Shared-memory key of the (default-parameter) Gowalla workload."""
+    """Registry key of the (default-parameter) Gowalla workload."""
     if seed is None:
         seed = GOWALLA_DATASET_SEED
     return f"workload:gowalla:{seed!r}"
 
 
-def workload_arrays(workload: Workload) -> Dict[str, np.ndarray]:
-    """The workload's publishable array form (see :mod:`.shm`): CSR
-    adjacency, integer node labels, the APSP matrix, and — when the
-    generator recorded them — node positions in dense-index order.
+#: Workloads served by recipe key while a :func:`registered_workloads`
+#: block is open.
+_REGISTRY: Dict[str, Workload] = {}
 
-    Materializes ``oracle.matrix`` so adopters skip the n Dijkstra sweeps.
+
+@contextmanager
+def registered_workloads(workloads: Mapping[str, Workload]) -> Iterator[None]:
+    """Serve *workloads* (``{recipe key: workload}``) from
+    :func:`rg_workload` and :func:`gowalla_workload` inside the block.
+
+    Each APSP matrix is computed on entry, so every task of a run reads
+    one graph and one matrix: serial tasks directly, and the fan-out's
+    forked workers by inheriting them. Workers that do not inherit the
+    registry miss it and build from scratch, which gives the same result.
+    A workload's graph is mutable, so the registry never outlives the
+    block: outside it every call builds a fresh workload.
     """
-    indptr, indices, data = graph_csr(workload.graph)
-    nodes = workload.graph.nodes
-    arrays: Dict[str, np.ndarray] = {
-        "indptr": indptr,
-        "indices": indices,
-        "data": data,
-        "nodes": np.asarray(
-            [int(label) for label in nodes], dtype=np.int64
-        ),
-        "matrix": workload.oracle.matrix,
-    }
-    if workload.positions:
-        arrays["positions"] = np.asarray(
-            [workload.positions[label] for label in nodes], dtype=float
-        )
-    return arrays
-
-
-def _adopt_workload(key: str, name: str, n: Optional[int]) -> (
-    Optional[Workload]
-):
-    """Warm-start a workload from arrays published under *key*, or
-    ``None`` when nothing is published in this process.
-
-    The rebuilt graph and adopted-matrix oracle are byte-identical to a
-    from-scratch build (the CSR round trip preserves node order and edge
-    lengths; the matrix was computed by the same oracle in the parent), so
-    downstream sampling and solving are unaffected. The adoption is
-    memoized per process — one worker handling several tasks over the same
-    workload rebuilds it once, not once per task.
-    """
-    payload = shm.maybe_get(key)
-    if payload is None:
-        return None
-    if n is not None and len(payload["indptr"]) - 1 != n:
-        return None  # stale publication; never adopt mismatched data
-
-    def rebuild() -> Workload:
-        graph = WirelessGraph.from_adjacency_arrays(
-            payload["indptr"],
-            payload["indices"],
-            payload["data"],
-            nodes=[int(label) for label in payload["nodes"]],
-        )
-        oracle = DistanceOracle.with_matrix(graph, payload["matrix"])
-        published = payload.get("positions")
-        positions = (
-            {
-                label: (float(xy[0]), float(xy[1]))
-                for label, xy in zip(graph.nodes, published)
-            }
-            if published is not None
-            else None
-        )
-        return Workload(
-            graph=graph, oracle=oracle, name=name, positions=positions
-        )
-
-    return shm.memo(("workload", key), rebuild)
+    for workload in workloads.values():
+        workload.oracle.matrix  # computed now, before any worker forks
+    previous = dict(_REGISTRY)
+    _REGISTRY.update(workloads)
+    try:
+        yield
+    finally:
+        _REGISTRY.clear()
+        _REGISTRY.update(previous)
 
 
 def rg_workload(
@@ -183,16 +140,15 @@ def rg_workload(
 ) -> Workload:
     """The paper's Random Geometric workload (n=100 default).
 
-    Consults the shared-memory registry first: when the exact generator
-    recipe was published (see :func:`workload_arrays` and the runner's
-    warm start), the graph and APSP matrix are adopted instead of
-    regenerated — byte-identical output, zero Dijkstra runs.
+    Inside :func:`registered_workloads` the workload registered for this
+    generator recipe is returned as is. The generator may return fewer
+    than *n* nodes, so the recipe, not the node count, identifies it.
     """
-    adopted = _adopt_workload(
-        rg_workload_key(seed, n, radius, max_link_failure), "rg", n
+    registered = _REGISTRY.get(
+        rg_workload_key(seed, n, radius, max_link_failure)
     )
-    if adopted is not None:
-        return adopted
+    if registered is not None:
+        return registered
     net: GeometricNetwork = random_geometric_network(
         n,
         radius=radius,
@@ -213,18 +169,16 @@ def gowalla_workload(seed: SeedLike = None, **synth_kwargs) -> Workload:
 
     *seed* defaults to :data:`GOWALLA_DATASET_SEED` — the canonical
     "dataset" generation — because the paper's Gowalla network is one fixed
-    graph, not a resampled model. Default-parameter builds adopt the
-    shared-memory publication when present (same warm start as
-    :func:`rg_workload`); custom ``synth_kwargs`` always rebuild.
+    graph, not a resampled model. Default-parameter builds return the
+    registered workload inside :func:`registered_workloads` (as
+    :func:`rg_workload` does); custom ``synth_kwargs`` always rebuild.
     """
     if seed is None:
         seed = GOWALLA_DATASET_SEED
     if not synth_kwargs:
-        adopted = _adopt_workload(
-            gowalla_workload_key(seed), "gowalla", None
-        )
-        if adopted is not None:
-            return adopted
+        registered = _REGISTRY.get(gowalla_workload_key(seed))
+        if registered is not None:
+            return registered
     graph, positions = gowalla_network(seed=seed, **synth_kwargs)
     return Workload(
         graph=graph,

@@ -18,8 +18,9 @@ O(n²) matrix. Only this dense tier has ``matrix``, for the consumers
 that still read the full square.
 
 Every full build of distance rows bumps the class-level ``build_count``
-(process-local), which the shared-memory fan-out tests use to assert that
-an APSP/row block is computed exactly once per distinct base graph.
+(process-local), which the fan-out and fault-injection tests use to
+assert that an APSP/row block is computed exactly once per distinct base
+graph.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ class DistanceOracle:
     a fresh oracle.
     """
 
-    #: Process-local count of full APSP builds (adopted matrices — shared
-    #: memory attaches, memo hits — do not count).
+    #: Process-local count of full APSP builds (matrices adopted through
+    #: :meth:`with_matrix`, such as fault-injection memo hits, do not count).
     build_count: int = 0
 
     def __init__(
@@ -59,10 +60,10 @@ class DistanceOracle:
         """Oracle adopting an already-computed APSP *matrix* for *graph*.
 
         The matrix is used as-is (marked read-only, never copied), which is
-        how shared-memory workers and the fault-injection memo reuse one
-        APSP computation across processes/cells without rebuilding it. The
-        caller is responsible for the matrix actually belonging to *graph*
-        (match signatures via :func:`~repro.graph.graph.graph_signature`).
+        how the fault-injection memo reuses one APSP computation across
+        cells without rebuilding it. The caller is responsible for the
+        matrix actually belonging to *graph* (match signatures via
+        :func:`~repro.graph.graph.graph_signature`).
         """
         n = graph.number_of_nodes()
         if matrix.shape != (n, n):

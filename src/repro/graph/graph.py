@@ -21,7 +21,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -208,42 +207,6 @@ class WirelessGraph:
         return g
 
     @classmethod
-    def from_adjacency_arrays(
-        cls,
-        indptr: Sequence[int],
-        indices: Sequence[int],
-        data: Sequence[float],
-        nodes: Optional[Sequence[Node]] = None,
-    ) -> "WirelessGraph":
-        """Rebuild a graph from CSR adjacency arrays (see
-        :func:`repro.graph.paths.graph_csr`).
-
-        *nodes* supplies the node labels in dense-index order; by default
-        the labels are the indices themselves. The CSR arrays must describe
-        a symmetric adjacency (both directions of every undirected edge),
-        which is what :func:`~repro.graph.paths.graph_csr` emits — the
-        round trip preserves node order, edge lengths, and therefore the
-        graph signature.
-        """
-        n = len(indptr) - 1
-        if nodes is None:
-            nodes = list(range(n))
-        if len(nodes) != n:
-            raise GraphError(
-                f"{len(nodes)} node labels for {n} CSR rows"
-            )
-        graph = cls()
-        graph.add_nodes(nodes)
-        for iu in range(n):
-            for slot in range(int(indptr[iu]), int(indptr[iu + 1])):
-                iv = int(indices[slot])
-                if iu < iv:
-                    graph.add_edge(
-                        nodes[iu], nodes[iv], length=float(data[slot])
-                    )
-        return graph
-
-    @classmethod
     def from_edges(
         cls,
         edges: Iterable[Tuple[Node, Node, float]],
@@ -278,8 +241,8 @@ def graph_signature(graph: WirelessGraph) -> str:
     Two graphs share a signature iff they have the same node count and the
     same indexed edge set with identical lengths — node *labels* are not
     hashed, so an identically-shaped copy (e.g. a severity-0 perturbation)
-    matches its original. Used as the memo/shared-memory key for distance
-    oracles: equal signature means equal distance matrix.
+    matches its original. Used as the memo key for distance oracles: equal
+    signature means equal distance matrix.
     """
     hasher = hashlib.sha256()
     hasher.update(graph.number_of_nodes().to_bytes(8, "big"))

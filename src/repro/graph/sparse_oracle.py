@@ -46,15 +46,12 @@ from repro.graph.paths import ball_indices, source_rows_matrix
 def relevant_source_indices(
     graph: WirelessGraph,
     seeds: Sequence[int],
-    radius: Optional[float],
+    radius: float,
 ) -> np.ndarray:
     """Sorted dense indices the sparse oracle should precompute rows for:
     the *seeds* (pair endpoints) plus every node within *radius* (``d_t``)
-    of one. ``radius=None`` keeps just the seeds."""
-    seeds = sorted({int(s) for s in seeds})
-    if radius is None:
-        return np.array(seeds, dtype=np.intp)
-    return ball_indices(graph, seeds, radius)
+    of one."""
+    return ball_indices(graph, sorted({int(s) for s in seeds}), radius)
 
 
 class SparseRowOracle:
@@ -70,8 +67,7 @@ class SparseRowOracle:
         graph: the base graph (must not be mutated afterwards).
         seeds: dense indices distances are needed from (pair endpoints).
         radius: ball radius (the instance's ``d_t``); relevant sources are
-            the seeds plus all nodes within *radius* of one. ``None``
-            precomputes seed rows only.
+            the seeds plus all nodes within *radius* of one.
         use_scipy: force the scipy/pure-Python backend (``None`` = auto).
             The same backend serves lazy fills, so every row matches what a
             dense oracle with the same setting would hold.
@@ -90,7 +86,7 @@ class SparseRowOracle:
         graph: WirelessGraph,
         seeds: Sequence[int] = (),
         *,
-        radius: Optional[float] = None,
+        radius: float,
         use_scipy: Optional[bool] = None,
         cutoff: float,
     ) -> None:

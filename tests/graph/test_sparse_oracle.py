@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 from repro.core.problem import (
     MSCInstance,
     SPARSE_ORACLE_MIN_N,
-    default_oracle_policy,
     resolve_oracle,
-    set_default_oracle_policy,
 )
 from repro.core.substrate import PlacementRequest, Substrate
 from repro.exceptions import GraphError, InstanceError
@@ -139,7 +137,7 @@ class TestBlockAndLaziness:
 
     def test_block_rows_are_not_lazy_fills(self):
         g = path_graph([1.0, 1.0])
-        sparse = SparseRowOracle(g, [0, 1, 2], cutoff=math.inf)
+        sparse = SparseRowOracle(g, [0, 1, 2], radius=0.0, cutoff=math.inf)
         sparse.rows([0, 1, 2])
         assert sparse.lazy_fills == 0
 
@@ -156,7 +154,7 @@ class TestBlockAndLaziness:
 
     def test_out_of_range_sources_rejected(self):
         g = path_graph([1.0])
-        for radius in (None, 1.0):
+        for radius in (0.0, 1.0):
             with pytest.raises(GraphError, match="out of range"):
                 SparseRowOracle(g, [5], radius=radius, cutoff=1.0)
             with pytest.raises(GraphError, match="out of range"):
@@ -213,16 +211,6 @@ class TestOraclePolicy:
         assert inst.oracle_kind == "sparse"
         dense_inst = MSCInstance(g, [(0, 8)], k=1, d_threshold=2.0)
         assert dense_inst.oracle_kind == "dense"
-
-    def test_default_policy_round_trip(self):
-        assert default_oracle_policy() == "auto"
-        set_default_oracle_policy("dense")
-        try:
-            assert default_oracle_policy() == "dense"
-            with pytest.raises(InstanceError):
-                set_default_oracle_policy("bogus")
-        finally:
-            set_default_oracle_policy("auto")
 
     def test_sigma_identical_across_tiers(self):
         # The end-to-end guarantee: same instance, same sigma, same
@@ -292,7 +280,10 @@ class TestCutoffMode:
     @pytest.mark.parametrize("use_scipy", [False, True])
     def test_distance_exactly_at_cutoff_is_kept(self, use_scipy):
         g = path_graph([0.5, 0.5, 0.5])
-        sparse = SparseRowOracle(g, [0], cutoff=1.0, use_scipy=use_scipy)
+        sparse = SparseRowOracle(
+            g, [0], radius=0.5, cutoff=1.0, use_scipy=use_scipy
+        )
+        assert list(sparse.source_indices) == [0, 1]  # row 3 straggles
         assert list(sparse.row_by_index(0)) == [0.0, 0.5, 1.0, math.inf]
         assert list(sparse.row_by_index(3)) == [math.inf, 1.0, 0.5, 0.0]
 
@@ -304,7 +295,11 @@ class TestCutoffMode:
         g.add_edge(2, 3, length=0.0)
         g.add_edge(4, 5, length=0.1)  # separate component
         full = all_pairs_distance_matrix(g, use_scipy=use_scipy)
-        sparse = SparseRowOracle(g, [0], cutoff=0.3, use_scipy=use_scipy)
+        sparse = SparseRowOracle(
+            g, [0], radius=0.0, cutoff=0.3, use_scipy=use_scipy
+        )
+        # The zero-length edge pulls node 1 into the ball; 2..5 straggle.
+        assert list(sparse.source_indices) == [0, 1]
         for i in range(6):
             assert_cutoff_row(sparse.row_by_index(i), full[i], 0.3)
         assert math.isinf(sparse.distance_by_index(0, 4))
@@ -312,13 +307,15 @@ class TestCutoffMode:
     def test_matrix_raises_with_cutoff(self):
         # No full matrix: a cutoff block's entries beyond the cutoff are
         # upper bounds, so a matrix reader must fail, not get them.
-        sparse = SparseRowOracle(grid_graph(3, 3), [0], cutoff=1.0)
+        sparse = SparseRowOracle(
+            grid_graph(3, 3), [0], radius=1.0, cutoff=1.0
+        )
         with pytest.raises(AttributeError):
             sparse.matrix
 
     def test_negative_cutoff_rejected(self):
         with pytest.raises(GraphError):
-            SparseRowOracle(grid_graph(2, 2), [0], cutoff=-1.0)
+            SparseRowOracle(grid_graph(2, 2), [0], radius=1.0, cutoff=-1.0)
 
     def test_policies_build_threshold_cutoff_blocks(self):
         g = grid_graph(3, 3)
@@ -343,6 +340,32 @@ class TestCutoffMode:
             )
         with pytest.raises(InstanceError, match="cutoff"):
             MSCInstance(g, [(0, 6)], 1, d_threshold=2.5, oracle=substrate)
+
+    @pytest.mark.parametrize("policy", ["sparse", "hub"])
+    def test_cutoff_substrate_needs_a_threshold(self, policy):
+        g = path_graph([1.0] * 6)
+        with pytest.raises(InstanceError, match="threshold"):
+            Substrate.build(g, oracle=policy, pair_indices=[(0, 6)])
+        substrate = Substrate.build(
+            g, oracle=policy, d_threshold=2.0, pair_indices=[(0, 6)]
+        )
+        instance = substrate.instance(
+            PlacementRequest([(0, 6)], 1, d_threshold=2.0)
+        )
+        assert instance.oracle_kind == policy
+
+    def test_dense_substrates_need_no_threshold(self):
+        g = path_graph([1.0] * 6)
+        for policy in ("dense", "auto", None):
+            substrate = Substrate.build(
+                g, oracle=policy, pair_indices=[(0, 6)]
+            )
+            assert substrate.oracle_kind == "dense"
+        n = SPARSE_ORACLE_MIN_N + 1
+        path = path_graph([1.0] * (n - 1))
+        assert Substrate.build(path, oracle="auto").oracle_kind == "dense"
+        with pytest.raises(InstanceError, match="threshold"):
+            Substrate.build(path, oracle="auto", pair_indices=[(0, 4)])
 
     def test_fingerprint_depends_on_cutoff(self):
         g = grid_graph(3, 3)
