@@ -12,7 +12,9 @@ Raw wall-clock times are machine-dependent, so the gate compares the
 * ``--memory``: additionally runs the sparse-vs-dense oracle tier at
   n=2000 and asserts the sparse peak stays within the memory budget
   (≤ 25% of the dense peak for the same workload) with placements
-  identical to the dense tier.
+  identical to the dense tier; and runs the sandwich AA beside σ-greedy
+  on one n=2000 sparse-tier instance and asserts the sandwich's
+  tracemalloc peak stays within a fixed multiple of σ-greedy's.
 * ``--large-n``: additionally runs the hub-vs-sparse tier at n=10^4 and
   compares it with the committed ``hub_tier_large_n`` entry for that
   size by the same ``--tolerance`` rule: the hub-over-sparse solve
@@ -43,6 +45,7 @@ try:
         bench_hub_tier,
         bench_oracle_tiers,
         bench_point_eval,
+        bench_sandwich_memory,
         bench_serve_warm_cache,
     )
 except ImportError:  # invoked as `python benchmarks/check_regression.py`
@@ -50,6 +53,7 @@ except ImportError:  # invoked as `python benchmarks/check_regression.py`
         bench_hub_tier,
         bench_oracle_tiers,
         bench_point_eval,
+        bench_sandwich_memory,
         bench_serve_warm_cache,
     )
 
@@ -58,6 +62,15 @@ except ImportError:  # invoked as `python benchmarks/check_regression.py`
 #: tighter p_t=0.04 point, which sits right at the budget).
 MEMORY_GATE_SIZES = [(2000, 0.03, 60, 5, True)]
 MEMORY_BUDGET_RATIO = 0.25
+
+#: Sandwich memory gate: the sandwich's tracemalloc peak over σ-greedy's
+#: on the same n=2000, p_t=0.03 sparse-tier instance. μ's masks and ν's
+#: block span the pair endpoints' d_t-ball (r≈300 nodes) as σ's scan
+#: does, which reads about 8. One n×n μ mask per open pair is m·n² bytes
+#: (240 MB at m=60), about 340 times σ-greedy's peak; the ceiling sits 4×
+#: above the first and 10× below the second.
+SANDWICH_GATE_SIZES = [(2000, 0.03, 60, 5)]
+SANDWICH_PEAK_RATIO_CEILING = 32.0
 
 #: Large-n gate: the smallest hub-scale size, the first entry of the
 #: committed ``hub_tier_large_n`` series (which runs up to 10^5; one point
@@ -131,6 +144,26 @@ def check_memory_budget() -> list:
     return failures
 
 
+def check_sandwich_memory() -> list:
+    """Run the sandwich beside σ-greedy and enforce the peak ceiling."""
+    entry = bench_sandwich_memory(sizes=SANDWICH_GATE_SIZES)["sizes"][0]
+    ratio = float(entry["peak_ratio"])
+    ok = ratio <= SANDWICH_PEAK_RATIO_CEILING
+    print(
+        f"sandwich n={entry['n']} p_t={entry['p_t']}: peak "
+        f"{entry['sandwich_peak_mb']}MB vs sigma-greedy "
+        f"{entry['sigma_greedy_peak_mb']}MB -> ratio {ratio:.2f} "
+        f"(ceiling {SANDWICH_PEAK_RATIO_CEILING}) "
+        f"[{'ok' if ok else 'REGRESSION'}]"
+    )
+    if ok:
+        return []
+    return [
+        f"sandwich peak is {ratio:.2f}x sigma-greedy's (ceiling "
+        f"{SANDWICH_PEAK_RATIO_CEILING}) at n={entry['n']}"
+    ]
+
+
 def check_large_n(baseline: dict, tolerance: float) -> list:
     """Run the hub-vs-sparse tier at hub scale and compare it with the
     committed entry for the same size."""
@@ -201,7 +234,8 @@ def main() -> int:
     parser.add_argument(
         "--memory",
         action="store_true",
-        help="also enforce the sparse-tier peak-memory budget at n=2000",
+        help="also enforce the sparse-tier peak-memory budget and the "
+        "sandwich's peak-memory ceiling at n=2000",
     )
     parser.add_argument(
         "--large-n",
@@ -223,6 +257,7 @@ def main() -> int:
     failures = check_point_eval_speedups(baseline, args.tolerance)
     if args.memory:
         failures.extend(check_memory_budget())
+        failures.extend(check_sandwich_memory())
     if args.large_n:
         failures.extend(check_large_n(baseline, args.tolerance))
     if args.serve:

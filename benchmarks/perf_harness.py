@@ -25,6 +25,10 @@ runner:
    serially and with ``--jobs``-style fan-out, with byte-identity of the
    results verified. Speedup requires actual cores: with fewer cores than
    jobs it is recorded as ``unmeasured``.
+6. **Sandwich memory**: the sandwich AA (μ-, σ- and ν-greedy) beside
+   σ-greedy alone on one n=2000 sparse-tier instance, time and
+   tracemalloc peak. ``check_regression.py --memory`` holds the peak
+   ratio under a ceiling.
 
 Usage::
 
@@ -50,6 +54,7 @@ from repro.core.evaluator import ENGINE_CACHE_MIN_N, SigmaEvaluator
 from repro.core.greedy import greedy_placement
 from repro.core.problem import MSCInstance, SPARSE_ORACLE_MIN_N
 from repro.core.random_baseline import _trial_edges
+from repro.core.sandwich import SandwichApproximation
 from repro.experiments.parallel import fanout
 from repro.experiments.runner import (
     _timed_experiment_task,
@@ -98,6 +103,15 @@ HUB_TIER_SIZES = [
     (50_000, 0.03, 60, 5),
     (100_000, 0.03, 60, 5),
 ]
+
+#: (n, p_t, m, k) points of the sandwich-memory series: the oracle-tier
+#: RG family at n=2000 on the sparse tier, at the p_t the oracle tiers
+#: gate and at a wide d_t-ball (p_t=0.10, about two thirds of the graph).
+SANDWICH_MEMORY_SIZES = [(2000, 0.03, 60, 5), (2000, 0.10, 60, 5)]
+
+#: Timed solves per function in the sandwich-memory series; the fastest
+#: counts. Peaks come from one separate traced solve.
+SANDWICH_MEMORY_REPEATS = 3
 
 #: Point-distance queries per throughput measurement.
 HUB_QUERY_COUNT = 20_000
@@ -474,6 +488,66 @@ def bench_hub_tier(sizes=None) -> dict:
     }
 
 
+def bench_sandwich_memory(sizes=None) -> dict:
+    """The sandwich AA beside σ-greedy on the same sparse-tier instance.
+
+    Per size: the fastest of :data:`SANDWICH_MEMORY_REPEATS` solves and
+    one traced solve's tracemalloc peak of each, every solve on a fresh
+    instance with its oracle built before the clock starts (engines are
+    memoized per substrate, so a reused instance would hand the second
+    solve the first one's work). ``universe`` is σ's candidate universe
+    for the empty placement — the pair endpoints' d_t-ball.
+    """
+    entries = []
+    for n, p_t, m, k in sizes or SANDWICH_MEMORY_SIZES:
+        graph, pairs = _oracle_tier_workload(n, p_t, m)
+
+        def fresh():
+            return MSCInstance(
+                graph, pairs, k=k, p_threshold=p_t, oracle="sparse"
+            )
+
+        solvers = {
+            "sigma_greedy": lambda instance: greedy_placement(
+                SigmaEvaluator(instance), k
+            ),
+            "sandwich": lambda instance: SandwichApproximation(
+                instance
+            ).solve(),
+        }
+        entry = {"n": graph.number_of_nodes(), "p_t": p_t, "m": m, "k": k}
+        instance = fresh()
+        entry["universe"] = int(
+            SigmaEvaluator(instance).candidate_universe([]).size
+        )
+        for name, solve in solvers.items():
+            best = float("inf")
+            for _ in range(SANDWICH_MEMORY_REPEATS):
+                instance = fresh()
+                start = time.perf_counter()
+                solve(instance)
+                best = min(best, time.perf_counter() - start)
+            instance = fresh()
+            peak = _traced_peak(lambda: solve(instance))
+            entry[f"{name}_s"] = round(best, 4)
+            entry[f"{name}_peak_mb"] = round(peak / 1e6, 2)
+        entry["peak_ratio"] = round(
+            entry["sandwich_peak_mb"] / entry["sigma_greedy_peak_mb"], 2
+        )
+        entries.append(entry)
+    return {
+        "description": (
+            "sandwich AA (mu-, sigma- and nu-greedy) vs sigma-greedy alone "
+            "on one sparse-tier instance of the scaled RG family, oracle "
+            f"built untimed: fastest of {SANDWICH_MEMORY_REPEATS} solves and "
+            "one traced solve's tracemalloc peak each; peak_ratio is "
+            "sandwich peak / sigma-greedy peak. check_regression.py "
+            "--memory holds peak_ratio at p_t=0.03 under a ceiling."
+        ),
+        "sizes": entries,
+    }
+
+
 def bench_serve_warm_cache(spec: dict = None) -> dict:
     """Warm (resident substrate) vs cold (rebuild per request) latency of
     the ``repro serve`` request path.
@@ -647,6 +721,7 @@ def main() -> int:
         "sigma_point_eval": bench_point_eval(),
         "fig1_greedy_path": bench_greedy_path(),
         "oracle_tiers": bench_oracle_tiers(),
+        "sandwich_memory": bench_sandwich_memory(),
         "serve_warm_cache": bench_serve_warm_cache(),
         "quick_experiments_s": bench_quick_experiments(),
     }

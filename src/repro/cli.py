@@ -300,38 +300,51 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 print(f"wrote {args.json} (completed experiments only)")
             return 1
     else:
-        for name in names:
-            start = time.perf_counter()
-            if args.seeds > 1:
-                from repro.exceptions import ValidationError
-                from repro.experiments.stats import run_with_seeds
+        from repro.experiments.runner import shared_workload_payload
+        from repro.experiments.workloads import registered_workloads
 
-                try:
-                    result = run_with_seeds(
-                        name,
-                        seeds=range(args.seed, args.seed + args.seeds),
-                        scale=args.scale,
-                        jobs=jobs,
-                    )
-                except ValidationError as exc:
-                    print(
-                        f"[{name}: not aggregatable across seeds ({exc}); "
-                        "falling back to a single run]"
-                    )
+        # One seed: build the workloads the experiments share once, APSP
+        # included, as run_all_report does, so the sweep cells read them
+        # instead of each regenerating its own. Results are
+        # byte-identical either way.
+        shared = (
+            shared_workload_payload(names, args.scale, args.seed)
+            if args.seeds == 1
+            else {}
+        )
+        with registered_workloads(shared):
+            for name in names:
+                start = time.perf_counter()
+                if args.seeds > 1:
+                    from repro.exceptions import ValidationError
+                    from repro.experiments.stats import run_with_seeds
+
+                    try:
+                        result = run_with_seeds(
+                            name,
+                            seeds=range(args.seed, args.seed + args.seeds),
+                            scale=args.scale,
+                            jobs=jobs,
+                        )
+                    except ValidationError as exc:
+                        print(
+                            f"[{name}: not aggregatable across seeds ({exc}); "
+                            "falling back to a single run]"
+                        )
+                        result = run_experiment(
+                            name, scale=args.scale, seed=args.seed, jobs=jobs
+                        )
+                else:
                     result = run_experiment(
                         name, scale=args.scale, seed=args.seed, jobs=jobs
                     )
-            else:
-                result = run_experiment(
-                    name, scale=args.scale, seed=args.seed, jobs=jobs
+                elapsed = time.perf_counter() - start
+                print(
+                    result.render(precision=args.precision, charts=args.charts)
                 )
-            elapsed = time.perf_counter() - start
-            print(
-                result.render(precision=args.precision, charts=args.charts)
-            )
-            print(f"[{name} finished in {elapsed:.1f}s]")
-            print()
-            results.append(result.to_json())
+                print(f"[{name} finished in {elapsed:.1f}s]")
+                print()
+                results.append(result.to_json())
     if args.json:
         dump_json(results, args.json)
         print(f"wrote {args.json}")

@@ -396,7 +396,7 @@ class SigmaEvaluator:
         returned array is read-only.
         """
         if self._pair_ball is None:
-            self._pair_ball = self._ball(self._sources)
+            self._pair_ball = base_ball(self.instance, self._sources)
         extra = sorted(
             {int(i) for edge in edges for i in edge}.difference(
                 self._row_of
@@ -404,25 +404,11 @@ class SigmaEvaluator:
         )
         if not extra:
             return self._pair_ball
-        universe = np.union1d(self._pair_ball, self._ball(extra))
+        universe = np.union1d(
+            self._pair_ball, base_ball(self.instance, extra)
+        )
         universe.setflags(write=False)
         return universe
-
-    def _ball(self, sources: Sequence[int]) -> np.ndarray:
-        """Sorted indices within base distance ``d_t`` of any source."""
-        oracle = self.instance.oracle
-        if getattr(oracle, "prefers_ball_universe", False):
-            # Hub-label tier: a full row query costs the whole label
-            # index, while a cutoff Dijkstra costs only the ball — and
-            # both enumerate exactly the base-distance d_t-ball.
-            ball = ball_indices(self.instance.graph, sources, self.limit)
-        else:
-            member = np.zeros(self.n, dtype=bool)
-            for src in sources:
-                member |= oracle.row_by_index(src) <= self.limit
-            ball = np.flatnonzero(member).astype(np.intp)
-        ball.setflags(write=False)
-        return ball
 
     def _scan(
         self,
@@ -490,6 +476,27 @@ class SigmaEvaluator:
         Symmetric; the diagonal equals ``σ(F)``.
         """
         return expand_scores(*self._scan(edges), self.n)
+
+
+def base_ball(
+    instance: MSCInstance, sources: Sequence[int]
+) -> np.ndarray:
+    """Sorted, read-only indices within base distance ``d_t`` of any of
+    *sources*: the ball every candidate scan works over (σ, μ and ν)."""
+    limit = satisfaction_limit(instance.d_threshold)
+    oracle = instance.oracle
+    if getattr(oracle, "prefers_ball_universe", False):
+        # Hub-label tier: a full row query costs the whole label index,
+        # while a cutoff Dijkstra costs only the ball — and both
+        # enumerate exactly the base-distance d_t-ball.
+        ball = ball_indices(instance.graph, sources, limit)
+    else:
+        member = np.zeros(instance.n, dtype=bool)
+        for src in sources:
+            member |= oracle.row_by_index(src) <= limit
+        ball = np.flatnonzero(member).astype(np.intp)
+    ball.setflags(write=False)
+    return ball
 
 
 def expand_scores(

@@ -64,11 +64,14 @@ def greedy_placement(
             f"candidate_mask shape {candidate_mask.shape} != ({n}, {n})"
         )
 
-    # Candidates outside a restricted scan's universe have exactly zero
-    # gain, so that scan is sound only when zero-gain candidates can never
-    # be selected: that requires the early-stop semantics and no
-    # caller-provided mask to intersect with. Otherwise the full (n, n)
-    # scan is the block over every node.
+    # A restricted scan returns the (n, n) scan's cells over a sorted
+    # universe that holds the (n, n) scan's first selectable maximum
+    # whenever that maximum gains (σ's and μ's universes hold every
+    # gaining cell; ν's adds the smallest outside nodes). The argmax over
+    # the block then picks the same edge, but only while a round that
+    # gains nothing stops — the early-stop semantics — and no caller mask
+    # can exclude that maximum. Otherwise the full (n, n) scan is the
+    # block over every node.
     restricted_fn = (
         getattr(fn, "add_candidates_restricted", None)
         if candidate_mask is None and stop_when_no_gain

@@ -68,18 +68,20 @@ def lazy_greedy_placement(
     placed_set: Set[IndexPair] = set()
     current = float(fn.value(placed))
     # Seed every candidate's round-0 bound from one vectorized scan.
-    # Without an explicit candidate list the restricted scan suffices:
-    # every candidate outside its universe has exactly zero round-0 gain
-    # and the early stop can never select it, so a heap over universe
-    # pairs alone selects the same edges while seeding O(r²) instead of
-    # O(n²) entries. Round-0 entries are always re-evaluated before
-    # selection, so a seeding bound that differs from the point value by
-    # float noise cannot change correctness.
+    # Without an explicit candidate list the restricted scan suffices when
+    # every candidate outside its universe has exactly zero gain (σ, μ;
+    # not ν, see NuFunction): the early stop can never select such a
+    # candidate, so a heap over universe pairs alone selects the same
+    # edges while seeding O(r²) instead of O(n²) entries. Round-0 entries
+    # are always re-evaluated before selection, so a seeding bound that
+    # differs from the point value by float noise cannot change
+    # correctness.
     restricted_scan = getattr(fn, "add_candidates_restricted", None)
     if (
         candidates is None
         and stop_when_no_gain
         and restricted_scan is not None
+        and getattr(fn, "zero_gain_outside_universe", True)
     ):
         block, universe = restricted_scan(placed)
     else:

@@ -20,7 +20,7 @@ The sandwich property and submodularity proofs carry over verbatim:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -75,12 +75,16 @@ class WeightedSigmaEvaluator:
         flags = self._sigma.satisfied_many(placements)
         return [float(self.weights @ row) for row in flags]
 
+    def add_candidates_restricted(
+        self, edges: Sequence[IndexPair]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Weighted one-step lookahead over σ's candidate universe: σ's
+        candidate scan with per-pair weights, sharing its engine cache,
+        candidate universe and memory bounds."""
+        return self._sigma._scan(edges, self.weights)
+
     def add_candidates(self, edges: Sequence[IndexPair]) -> np.ndarray:
-        """Weighted one-step lookahead: σ's candidate scan with per-pair
-        weights, sharing its engine cache, candidate universe and memory
-        bounds."""
-        scores, universe = self._sigma._scan(edges, self.weights)
-        return expand_scores(scores, universe, self.n)
+        return expand_scores(*self.add_candidates_restricted(edges), self.n)
 
 
 class WeightedMuFunction(PointwiseValueMany):
@@ -103,39 +107,36 @@ class WeightedMuFunction(PointwiseValueMany):
         flags = np.array(self._mu.satisfied(edges), dtype=bool)
         return float(self.weights @ flags)
 
+    def add_candidates_restricted(
+        self, edges: Sequence[IndexPair]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """μ's candidate scan over its ball, with per-pair weights."""
+        return self._mu._scan(edges, self.weights)
+
     def add_candidates(self, edges: Sequence[IndexPair]) -> np.ndarray:
-        n = self.n
-        acc = np.zeros((n, n), dtype=float)
-        current = 0.0
-        for i, weight in enumerate(self.weights):
-            if self._mu.pair_rescued(i, edges):
-                current += weight
-            elif weight > 0.0:
-                acc += self._mu._masks[i] * weight
-        acc += current
-        np.fill_diagonal(acc, current)
-        return acc
+        return expand_scores(*self.add_candidates_restricted(edges), self.n)
 
 
-class WeightedNuFunction(PointwiseValueMany):
+class WeightedNuFunction(NuFunction):
     """Weighted upper bound: coverage with pair-weight-scaled node weights.
 
     A node's weight is half the sum of the weights of the pairs it appears
     in; the base-satisfied pairs' weight is added as a constant — exactly
     the construction of :class:`~repro.core.bounds.NuFunction` with counts
-    replaced by weight sums.
+    replaced by weight sums, and the same scans.
     """
 
-    is_submodular = True
+    #: With arbitrary float node weights ν's gains are float sums that the
+    #: matrix product of a smaller block may round differently in the last
+    #: bit, so greedy keeps the (n, n) scan and its placements.
+    add_candidates_restricted = None
 
     def __init__(
         self, instance: MSCInstance, weights: Sequence[float]
     ) -> None:
-        self.instance = instance
-        self.pair_weights = _check_weights(instance, weights)
-        base = NuFunction(instance)
-        self.pair_nodes = base.pair_nodes
-        self.cover = base.cover
+        pair_weights = _check_weights(instance, weights)
+        super().__init__(instance)
+        self.pair_weights = pair_weights
         node_weight = {node: 0.0 for node in self.pair_nodes}
         for (u, w), weight in zip(instance.pairs, self.pair_weights):
             node_weight[u] += weight / 2.0
@@ -143,37 +144,9 @@ class WeightedNuFunction(PointwiseValueMany):
         self.weights = np.array(
             [node_weight[node] for node in self.pair_nodes], dtype=float
         )
-        sigma = SigmaEvaluator(instance)
-        self.base_weight = float(
-            self.pair_weights
-            @ np.array(sigma.base_satisfied, dtype=bool)
+        self.base_sigma = float(
+            self.pair_weights @ np.array(self.base_satisfied, dtype=bool)
         )
-
-    @property
-    def n(self) -> int:
-        return self.instance.n
-
-    def covered_nodes(self, edges: Sequence[IndexPair]) -> np.ndarray:
-        covered = np.zeros(len(self.pair_nodes), dtype=bool)
-        for a, b in edges:
-            covered |= self.cover[a, :]
-            covered |= self.cover[b, :]
-        return covered
-
-    def value(self, edges: Sequence[IndexPair]) -> float:
-        return float(
-            self.weights @ self.covered_nodes(edges)
-        ) + self.base_weight
-
-    def add_candidates(self, edges: Sequence[IndexPair]) -> np.ndarray:
-        covered = self.covered_nodes(edges)
-        current = float(self.weights @ covered) + self.base_weight
-        uncovered = np.where(covered, 0.0, self.weights)
-        nw = self.cover @ uncovered
-        overlap = (self.cover * uncovered) @ self.cover.T
-        acc = current + nw[:, None] + nw[None, :] - overlap
-        np.fill_diagonal(acc, current)
-        return acc
 
 
 def weighted_sandwich(

@@ -65,6 +65,39 @@ class TestMain:
         data = json.loads(target.read_text())
         assert data[0]["name"] == "table1"
 
+    def test_serial_run_builds_shared_workload_once(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """A one-seed serial run registers the workloads its sweep cells
+        share: table1 at paper scale builds one APSP matrix, and its JSON
+        equals an unregistered run's byte for byte."""
+        from repro.experiments.runner import run_experiment
+        from repro.graph import distances
+        from repro.util.serialization import dump_json
+
+        builds = []
+        real = distances.all_pairs_distance_matrix
+
+        def spy(*args, **kwargs):
+            builds.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(distances, "all_pairs_distance_matrix", spy)
+        served = tmp_path / "served.json"
+        assert main(
+            ["run", "table1", "--scale", "paper", "--json", str(served)]
+        ) == 0
+        assert len(builds) == 1
+
+        builds.clear()
+        direct = tmp_path / "direct.json"
+        dump_json(
+            [run_experiment("table1", scale="paper", seed=1).to_json()],
+            direct,
+        )
+        assert len(builds) > 1  # every sweep cell builds its own
+        assert served.read_bytes() == direct.read_bytes()
+
     def test_describe(self, capsys):
         assert main(["describe"]) == 0
         out = capsys.readouterr().out
