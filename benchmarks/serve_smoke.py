@@ -1,12 +1,13 @@
 """Serve smoke — a live ``repro serve`` process vs offline solves.
 
-Starts the real CLI server as a subprocess, fires a batch of mixed
+Starts the real CLI server as a subprocess, fires a burst of mixed
 requests (places across two workloads and several solvers, a sigma audit,
 a what-if session) from concurrent client threads, and requires every
 served placement to be **byte-identical** to the offline library solve of
-the same request. Exercises the full stack the way CI can't from inside a
-unit test: process boundary, TCP transport, admission batching under real
-concurrency, graceful shutdown.
+the same request, and each workload's substrate to be built exactly once
+although the clients arrive while it is cold. Exercises the full stack the
+way CI can't from inside a unit test: process boundary, TCP transport,
+per-substrate serialization under real concurrency, graceful shutdown.
 
 Usage::
 
@@ -141,6 +142,10 @@ def main() -> int:
                         },
                     }
                 )
+            )
+            # One build per workload: concurrent cold requests wait on it.
+            assert stats["substrates"]["misses"] == len(WORKLOADS), (
+                f"substrate misses {stats['substrates']['misses']}"
             )
             client.shutdown()
         server.wait(timeout=30)

@@ -181,15 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         help="how many workload substrates stay resident (LRU beyond this)",
     )
-    serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="admission-batch collection window: concurrent requests for "
-        "the same substrate arriving within it run as one batch over the "
-        "shared engine cache (default 0.005)",
-    )
     add_execution_args(
         serve,
         jobs_help="executor threads; same-substrate requests are always "
@@ -391,7 +382,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service.server import DEFAULT_BATCH_WINDOW, run_server
+    from repro.service.server import run_server
 
     return run_server(
         host=args.host,
@@ -401,11 +392,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         retries=args.retries,
         task_timeout=args.task_timeout,
-        batch_window=(
-            args.batch_window
-            if args.batch_window is not None
-            else DEFAULT_BATCH_WINDOW
-        ),
         journal_dir=args.resume,
     )
 

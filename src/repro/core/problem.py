@@ -224,8 +224,11 @@ class MSCInstance:
         self.pairs: List[NodePair] = list(request.pairs)
         self.pair_indices: List[IndexPair] = pair_indices
         if request.require_initially_unsatisfied:
+            # σ counts a pair satisfied up to this limit, so a pair
+            # accepted here also starts unsatisfied in σ.
+            limit = satisfaction_limit(request.d_threshold)
             for (u, w), (iu, iw) in zip(self.pairs, pair_indices):
-                if oracle.distance_by_index(iu, iw) <= request.d_threshold:
+                if oracle.distance_by_index(iu, iw) <= limit:
                     raise InstanceError(
                         f"pair ({u!r}, {w!r}) already meets the distance "
                         "requirement in the base graph; pass "

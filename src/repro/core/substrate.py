@@ -12,9 +12,9 @@ This module makes the two halves first-class:
 
 * :class:`Substrate` — graph + distance oracle + the shared
   :class:`EngineCache`. Build it once, share it across thousands of
-  requests (and across threads serialized by the service's admission
-  batching). Substrates are hashable *by content* (:attr:`fingerprint`),
-  so caches can key on them.
+  requests (and across threads, one at a time: the service holds a lock
+  per resident substrate). Substrates are hashable *by content*
+  (:attr:`fingerprint`), so caches can key on them.
 * :class:`PlacementRequest` — an immutable value object carrying the pairs,
   budget ``k``, distance requirement and validation flags of one query.
 * :class:`EngineCache` — the LRU of

@@ -3,6 +3,9 @@
 "The important social pairs are randomly selected from the node pairs with
 path failure probability larger than the threshold p_t" — i.e. pairs that
 currently violate the requirement and therefore actually need shortcut help.
+Every selector counts a pair as violating exactly when σ does: its base
+distance exceeds :func:`~repro.failure.models.satisfaction_limit` of
+``d_t``, so no selected pair is satisfied before a shortcut is placed.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import InstanceError
-from repro.failure.models import failure_to_length
+from repro.failure.models import failure_to_length, satisfaction_limit
 from repro.graph.distances import DistanceOracle
 from repro.graph.graph import Node, WirelessGraph
 from repro.types import NodePair
@@ -40,7 +43,7 @@ def eligible_pairs(
     Pairs are returned in deterministic (index) order.
     """
     check_fraction(p_threshold, "p_threshold")
-    d_threshold = failure_to_length(p_threshold)
+    limit = satisfaction_limit(failure_to_length(p_threshold))
     d_cap = (
         None if max_failure is None else failure_to_length(
             check_fraction(max_failure, "max_failure")
@@ -53,9 +56,9 @@ def eligible_pairs(
     out: List[NodePair] = []
     for iu in range(len(nodes) - 1):
         # Row iu of the upper triangle. Negated comparisons keep a NaN
-        # distance, as a per-pair `if d <= d_t: skip` would.
+        # distance, as a per-pair `if d <= limit: skip` would.
         row = matrix[iu, iu + 1 :]
-        keep = ~(row <= d_threshold)
+        keep = ~(row <= limit)
         if d_cap is not None:
             keep &= ~(row > d_cap)
         partners = np.flatnonzero(keep) + (iu + 1)
@@ -113,10 +116,11 @@ def sample_important_pairs(
     larger than the threshold" — without ever materializing the pair
     universe.
 
-    Each search stops at ``d_t`` (at the cap, when one is set and larger):
-    a distance within the bound is exact and a farther one reads ``inf``,
-    which violates ``p_t`` and breaks the cap exactly as the true distance
-    does, so the partner set is the one full searches would give.
+    Each search stops at the satisfaction limit of ``d_t`` (at the cap,
+    when one is set and larger): a distance within the bound is exact and
+    a farther one reads ``inf``, which violates ``p_t`` and breaks the cap
+    exactly as the true distance does, so the partner set is the one full
+    searches would give.
 
     Args:
         oversample: give up after ``oversample * m`` source draws without
@@ -129,7 +133,7 @@ def sample_important_pairs(
 
     check_positive_int(m, "m")
     check_fraction(p_threshold, "p_threshold")
-    d_threshold = failure_to_length(p_threshold)
+    limit = satisfaction_limit(failure_to_length(p_threshold))
     d_cap = (
         None if max_failure is None else failure_to_length(
             check_fraction(max_failure, "max_failure")
@@ -142,7 +146,7 @@ def sample_important_pairs(
         raise InstanceError("need at least two nodes to sample pairs")
     search = source_row_search(
         graph,
-        limit=d_threshold if d_cap is None else max(d_threshold, d_cap),
+        limit=limit if d_cap is None else max(limit, d_cap),
     )
     out: List[NodePair] = []
     # Partners already paired with each source, in either orientation.
@@ -152,8 +156,8 @@ def sample_important_pairs(
         draws += 1
         iu = rng.randrange(n)
         distances = search([iu])[0]
-        # The source itself sits at distance 0 <= d_t and is never kept.
-        keep = distances > d_threshold
+        # The source itself sits at distance 0 <= limit and is never kept.
+        keep = distances > limit
         if d_cap is not None:
             keep &= distances <= d_cap
         keep[taken.get(iu, [])] = False
@@ -194,7 +198,7 @@ def select_friend_pairs(
     """
     check_positive_int(m, "m")
     check_fraction(p_threshold, "p_threshold")
-    d_threshold = failure_to_length(p_threshold)
+    limit = satisfaction_limit(failure_to_length(p_threshold))
     if oracle is None:
         oracle = DistanceOracle(graph)
     matrix = oracle.matrix
@@ -208,7 +212,7 @@ def select_friend_pairs(
         if key in seen:
             continue
         seen.add(key)
-        if matrix[iu, iw] > d_threshold:
+        if matrix[iu, iw] > limit:
             candidates.append((u, w))
     if len(candidates) < m:
         raise InstanceError(
@@ -232,14 +236,14 @@ def select_common_node_pairs(
     (the MSC-CN workload of paper §IV)."""
     check_positive_int(m, "m")
     check_fraction(p_threshold, "p_threshold")
-    d_threshold = failure_to_length(p_threshold)
+    limit = satisfaction_limit(failure_to_length(p_threshold))
     if oracle is None:
         oracle = DistanceOracle(graph)
     row = oracle.row(common)
     candidates = [
         graph.index_node(i)
         for i in range(graph.number_of_nodes())
-        if row[i] > d_threshold
+        if row[i] > limit
     ]
     if len(candidates) < m:
         raise InstanceError(

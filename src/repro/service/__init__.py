@@ -1,4 +1,4 @@
-"""Long-lived planner service: warm substrates, batched admission.
+"""Long-lived planner service: warm substrates, one request at a time each.
 
 ``repro serve`` keeps :class:`~repro.core.substrate.Substrate` objects
 (graph + distance oracle + shared engine cache) resident in an LRU keyed

@@ -3,8 +3,8 @@
 Used by the serve round-trip tests and the CI smoke script; also a handy
 programmatic entry point (``with ServiceClient(port=...) as c:
 c.place(...)``). Responses may arrive out of order — the server answers
-each request as its batch completes — so the client matches them to
-requests by ``id`` and parks early arrivals until their caller asks.
+each request as it completes — so the client matches them to requests
+by ``id`` and parks early arrivals until their caller asks.
 """
 
 from __future__ import annotations
@@ -87,8 +87,9 @@ class ServiceClient:
     def request_many(
         self, payloads: List[Dict[str, Any]]
     ) -> List[Dict[str, Any]]:
-        """Send every payload before reading any response (lets the server
-        admission-batch them); returns raw responses in request order."""
+        """Send every payload before reading any response (the server
+        works on them concurrently); returns raw responses in request
+        order."""
         ids = [self.send(payload) for payload in payloads]
         return [self.recv(request_id) for request_id in ids]
 

@@ -9,14 +9,16 @@ under :func:`~repro.util.resilience.retry_call` with the server's
 error, timeout — comes back as a structured error response instead of a
 dropped connection.
 
-**Admission batching.** Requests against the same substrate that arrive
-within ``batch_window`` seconds are grouped and executed as one executor
-job, sequentially, against the substrate's shared
-:class:`~repro.core.substrate.EngineCache` — the first request of a batch
-builds (or extends) the engines the rest of the batch then hits warm, and
-a per-substrate lock keeps the single-threaded cache invariant. Placements
-are byte-identical to solving each request alone: batching changes *when*
-work runs, never *what* it computes.
+**One request at a time per substrate.** Each request runs as soon as it
+arrives, as its own executor job, under the lock of its resident
+:class:`~repro.service.substrates.SubstrateEntry`: the entry's
+:class:`~repro.core.substrate.EngineCache` and the what-if planners over
+it are single-threaded, and the lock keeps them so, while requests on
+different substrates run side by side. The first request over a substrate
+builds (or extends) the engines the later ones hit warm. Concurrent
+requests for a substrate that is not resident wait on one build of it,
+and a what-if session runs on the entry it pinned at ``open``, resident
+or evicted. Placements are byte-identical to solving each request alone.
 """
 
 from __future__ import annotations
@@ -51,27 +53,11 @@ from repro.types import NodePair
 from repro.util.resilience import policy_for_retries, retry_call
 from repro.util.serialization import TaskJournal, canonical_key
 
-#: Default admission-batch collection window, seconds. Long enough to
-#: gather a burst of concurrent requests, short enough to be invisible in
-#: any single request's latency.
-DEFAULT_BATCH_WINDOW = 0.005
-
 #: Longest request line a TCP connection accepts, in bytes (newline
 #: excluded). 1 MiB holds a request with about 70,000 explicit pairs; a
 #: longer line is answered with one ``ProtocolError`` and skipped, and the
 #: connection stays open.
 MAX_REQUEST_LINE_BYTES = 1 << 20
-
-
-class _Batch:
-    """Requests admitted against one substrate, awaiting a single flush."""
-
-    __slots__ = ("key", "spec", "jobs")
-
-    def __init__(self, key: str, spec: Dict[str, Any]) -> None:
-        self.key = key
-        self.spec = spec
-        self.jobs: List[Tuple[Callable, asyncio.Future]] = []
 
 
 class PlannerService:
@@ -86,7 +72,6 @@ class PlannerService:
             deterministic backoff).
         task_timeout: per-request wall-clock bound, seconds; a request
             exceeding it is answered with a ``TaskTimeoutError`` error.
-        batch_window: admission-batch collection window, seconds.
         journal_dir: when set, every completed ``place`` is journaled
             (crash-safe :class:`TaskJournal`, keyed by the full request
             recipe) and an identical request — including after a server
@@ -101,7 +86,6 @@ class PlannerService:
         jobs: int = 1,
         retries: int = 0,
         task_timeout: Optional[float] = None,
-        batch_window: float = DEFAULT_BATCH_WINDOW,
         journal_dir: Optional[str] = None,
     ) -> None:
         self.substrates = SubstrateLRU(max_substrates)
@@ -111,20 +95,18 @@ class PlannerService:
         )
         self.policy = policy_for_retries(retries)
         self.task_timeout = task_timeout
-        self.batch_window = float(batch_window)
         self.journal = (
             TaskJournal(journal_dir) if journal_dir is not None else None
         )
         self.sessions: Dict[str, Dict[str, Any]] = {}
         self.stop_event = asyncio.Event()
-        self._batches: Dict[str, _Batch] = {}
-        self._substrate_locks: Dict[str, asyncio.Lock] = {}
+        # In-flight substrate builds by workload key, each held only until
+        # it completes.
+        self._builds: Dict[str, asyncio.Future] = {}
         self.op_counts: Dict[str, int] = {}
         self.error_count = 0
         self.restored_count = 0
-        self.batch_count = 0
-        self.batched_requests = 0
-        self.max_batch_size = 0
+        self.jobs_run = 0
 
     # --------------------------------------------------------- entry points
 
@@ -167,83 +149,51 @@ class PlannerService:
             self.error_count += 1
             return error_response(request_id, exc)
 
-    # ---------------------------------------------------- admission batching
+    # ------------------------------------------------- substrates and jobs
 
-    async def _on_substrate(
-        self, spec: Dict[str, Any], fn: Callable[[SubstrateEntry], Any]
-    ) -> Any:
-        """Run ``fn(entry)`` against the substrate *spec* describes,
-        admission-batched with concurrent requests for the same spec."""
-        key = workload_key(spec)
-        batch = self._batches.get(key)
-        if batch is None:
-            batch = _Batch(key, spec)
-            self._batches[key] = batch
-            asyncio.get_running_loop().create_task(self._flush(batch))
-        future: asyncio.Future = (
-            asyncio.get_running_loop().create_future()
-        )
-        batch.jobs.append((fn, future))
-        return await future
+    async def _resident(self, spec: Dict[str, Any]) -> SubstrateEntry:
+        """The resident entry for *spec*, built on a miss.
 
-    async def _flush(self, batch: _Batch) -> None:
-        try:
-            await asyncio.sleep(self.batch_window)
-            # Close the admission window: later arrivals open a new batch.
-            self._batches.pop(batch.key, None)
-            loop = asyncio.get_running_loop()
-            lock = self._substrate_locks.setdefault(
-                batch.key, asyncio.Lock()
-            )
-            async with lock:
-                entry = self.substrates.get(batch.spec)
-                if entry is None:
-                    built = await loop.run_in_executor(
-                        self.executor, self.substrates.build, batch.spec
-                    )
-                    entry = self.substrates.put(built)
-                fns = [fn for fn, _ in batch.jobs]
-                outcomes = await loop.run_in_executor(
-                    self.executor, self._run_jobs, entry, fns
-                )
-            self.batch_count += 1
-            self.batched_requests += len(batch.jobs)
-            self.max_batch_size = max(
-                self.max_batch_size, len(batch.jobs)
-            )
-            for (_, future), (ok, value) in zip(batch.jobs, outcomes):
-                if future.done():
-                    continue
-                if ok:
-                    future.set_result(value)
-                else:
-                    future.set_exception(value)
-        except BaseException as exc:  # substrate build failed, etc.
-            for _, future in batch.jobs:
-                if not future.done():
-                    future.set_exception(exc)
-
-    def _run_jobs(
-        self, entry: SubstrateEntry, fns: List[Callable]
-    ) -> List[Tuple[bool, Any]]:
-        """Execute one admitted batch sequentially on an executor thread.
-
-        Each job is individually wrapped — under the server's retry policy
-        and per-request timeout when configured — so one malformed request
-        degrades to one error response, never to a failed batch.
+        Concurrent requests for a spec that is not resident wait on one
+        build; only the request that starts it counts as a miss.
         """
-        outcomes: List[Tuple[bool, Any]] = []
-        for index, fn in enumerate(fns):
-            try:
-                outcomes.append((True, self._call_resilient(entry, fn, index)))
-            except BaseException as exc:
-                outcomes.append((False, exc))
-        entry.requests_served += len(fns)
-        return outcomes
+        key = workload_key(spec)
+        build = self._builds.get(key)
+        if build is None:
+            entry = self.substrates.get(spec)
+            if entry is not None:
+                return entry
+            build = self._builds[key] = asyncio.create_task(
+                self._build(key, spec)
+            )
+        return await build
 
-    def _call_resilient(
-        self, entry: SubstrateEntry, fn: Callable, index: int
+    async def _build(self, key: str, spec: Dict[str, Any]) -> SubstrateEntry:
+        try:
+            built = await asyncio.get_running_loop().run_in_executor(
+                self.executor, self.substrates.build, spec
+            )
+            return self.substrates.put(built)
+        finally:
+            del self._builds[key]
+
+    async def _on_entry(
+        self, entry: SubstrateEntry, fn: Callable[[SubstrateEntry], Any]
     ) -> Any:
+        """Run ``fn(entry)`` as one executor job, after every job queued
+        before it on *entry* (whose engine cache is single-threaded)."""
+        async with entry.lock:
+            try:
+                return await asyncio.get_running_loop().run_in_executor(
+                    self.executor, self._call_resilient, entry, fn
+                )
+            finally:
+                entry.requests_served += 1
+                self.jobs_run += 1
+
+    def _call_resilient(self, entry: SubstrateEntry, fn: Callable) -> Any:
+        """``fn(entry)`` under the server's retry policy and per-request
+        timeout, when configured."""
         if self.task_timeout is None and self.policy.attempts == 1:
             return fn(entry)  # fast path: errors keep their own type
         try:
@@ -251,7 +201,7 @@ class PlannerService:
                 fn,
                 (entry,),
                 policy=self.policy,
-                key=(entry.key, index),
+                key=entry.key,
                 timeout=self.task_timeout,
                 retry_on=(Exception,),
             )
@@ -345,7 +295,7 @@ class PlannerService:
                 "substrate": entry.substrate.fingerprint,
             }
 
-        result = await self._on_substrate(spec, job)
+        result = await self._on_entry(await self._resident(spec), job)
         if self.journal is not None and journal_key is not None:
             self.journal.put(journal_key, result)
         return result
@@ -402,7 +352,7 @@ class PlannerService:
                 "substrate": entry.substrate.fingerprint,
             }
 
-        return await self._on_substrate(spec, job)
+        return await self._on_entry(await self._resident(spec), job)
 
     async def _op_whatif(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         action = payload.get("action", "summary")
@@ -425,7 +375,6 @@ class PlannerService:
                 )
                 self.sessions[name] = {
                     "planner": planner,
-                    "spec": spec,
                     "entry": entry,  # pins the substrate across eviction
                 }
                 return {
@@ -435,7 +384,7 @@ class PlannerService:
                     "sigma": planner.sigma,
                 }
 
-            return await self._on_substrate(spec, open_job)
+            return await self._on_entry(await self._resident(spec), open_job)
 
         session = self.sessions.get(name)
         if session is None:
@@ -449,9 +398,9 @@ class PlannerService:
         def session_job(entry: SubstrateEntry) -> Dict[str, Any]:
             return self._whatif_action(planner, action, payload, name)
 
-        # Route through the session's substrate so planner work is
-        # serialized with batch solves over the same engine cache.
-        return await self._on_substrate(session["spec"], session_job)
+        # The session's own entry, resident or evicted: its planner works
+        # over that entry's engine cache, serialized with the entry's jobs.
+        return await self._on_entry(session["entry"], session_job)
 
     def _whatif_action(
         self,
@@ -535,11 +484,12 @@ class PlannerService:
             "errors": self.error_count,
             "restored": self.restored_count,
             "sessions": sorted(self.sessions),
+            # Every request is its own executor job; perfbench's traced
+            # serve run reads these three counters.
             "batching": {
-                "window_s": self.batch_window,
-                "batches": self.batch_count,
-                "requests": self.batched_requests,
-                "max_batch_size": self.max_batch_size,
+                "batches": self.jobs_run,
+                "requests": self.jobs_run,
+                "max_batch_size": min(self.jobs_run, 1),
             },
             "executor_jobs": self.executor._max_workers,
             "retries": self.policy.attempts - 1,
@@ -596,8 +546,9 @@ async def _handle_connection(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
-    """One client connection: requests may interleave — each line is
-    served as its own task so concurrent requests can admission-batch."""
+    """One client connection: each line is served as its own task, so a
+    slow request does not hold up the ones behind it, and each response
+    is written as its request completes, out of request order."""
     write_lock = asyncio.Lock()
     pending = set()
     try:

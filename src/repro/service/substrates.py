@@ -11,6 +11,7 @@ over it are byte-identical (covered by the serve round-trip tests).
 
 from __future__ import annotations
 
+import asyncio
 import time
 from collections import OrderedDict
 from typing import Any, Dict, Optional
@@ -25,7 +26,13 @@ from repro.service.protocol import ProtocolError, workload_key
 
 
 class SubstrateEntry:
-    """One resident substrate plus its provenance and usage counters."""
+    """One resident substrate plus its provenance and usage counters.
+
+    ``lock`` admits one request at a time to the entry: its engine cache
+    and the what-if planners over it are single-threaded. The entry is
+    built on an executor thread; the lock binds to the event loop on its
+    first contended use.
+    """
 
     def __init__(
         self, key: str, spec: Dict[str, Any], workload: Workload,
@@ -37,6 +44,7 @@ class SubstrateEntry:
         self.substrate: Substrate = workload.substrate()
         self.build_seconds = build_seconds
         self.requests_served = 0
+        self.lock = asyncio.Lock()
 
     def stats(self) -> Dict[str, Any]:
         return {
@@ -104,8 +112,7 @@ class SubstrateLRU:
     def put(self, entry: SubstrateEntry) -> SubstrateEntry:
         """Register *entry*, evicting LRU entries beyond ``maxsize``.
 
-        If an equal-keyed entry raced in first, the resident one wins (so
-        concurrent cold requests converge on a single substrate).
+        If an equal-keyed entry is already resident, the resident one wins.
         """
         resident = self._store.get(entry.key)
         if resident is not None:

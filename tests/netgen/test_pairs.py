@@ -8,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import InstanceError
-from repro.failure.models import failure_to_length, length_to_failure
+from repro.failure.models import (
+    failure_to_length,
+    length_to_failure,
+    satisfaction_limit,
+)
 from repro.graph.distances import DistanceOracle
 from repro.graph import paths
 from repro.graph.graph import WirelessGraph
@@ -81,7 +85,7 @@ class TestEligiblePairs:
 
 def loop_eligible_pairs(graph, p_threshold, max_failure=None):
     """Reference: the per-pair double loop over the upper triangle."""
-    d_threshold = failure_to_length(p_threshold)
+    limit = satisfaction_limit(failure_to_length(p_threshold))
     d_cap = None if max_failure is None else failure_to_length(max_failure)
     matrix = DistanceOracle(graph).matrix
     n = graph.number_of_nodes()
@@ -89,7 +93,7 @@ def loop_eligible_pairs(graph, p_threshold, max_failure=None):
     for iu in range(n):
         for iw in range(iu + 1, n):
             d = matrix[iu, iw]
-            if d <= d_threshold:
+            if d <= limit:
                 continue
             if d_cap is not None and d > d_cap:
                 continue
@@ -131,22 +135,26 @@ class TestEligiblePairsAgainstLoop:
         ) == loop_eligible_pairs(g, p_threshold, max_failure)
 
     def test_boundaries_and_disconnected_pairs(self):
-        """A pair exactly at d_t is excluded and one just above it kept; a
-        pair exactly at the cap is kept and one just above it dropped;
-        disconnected pairs are kept only without a cap."""
+        """A pair exactly at the satisfaction limit of d_t is excluded and
+        one just above it kept; a pair exactly at the cap is kept and one
+        just above it dropped; disconnected pairs are kept only without a
+        cap."""
         p_t, cap = 0.2, 0.6
         d_t, d_cap = failure_to_length(p_t), failure_to_length(cap)
+        limit = satisfaction_limit(d_t)
         g = WirelessGraph()
-        g.add_edge("at_t", "a", length=d_t)
-        g.add_edge("above_t", "b", length=math.nextafter(d_t, math.inf))
+        g.add_edge("at_limit", "a", length=limit)
+        g.add_edge(
+            "above_limit", "b", length=math.nextafter(limit, math.inf)
+        )
         g.add_edge("at_cap", "c", length=d_cap)
         g.add_edge("above_cap", "d", length=math.nextafter(d_cap, math.inf))
         g.add_node("isolated")
         for max_failure in (None, cap):
             pairs = eligible_pairs(g, p_t, max_failure=max_failure)
             assert pairs == loop_eligible_pairs(g, p_t, max_failure)
-            assert ("at_t", "a") not in pairs
-            assert ("above_t", "b") in pairs
+            assert ("at_limit", "a") not in pairs
+            assert ("above_limit", "b") in pairs
             assert ("at_cap", "c") in pairs
             assert (("above_cap", "d") in pairs) == (max_failure is None)
             assert (("a", "isolated") in pairs) == (max_failure is None)
@@ -275,7 +283,7 @@ def loop_sample_important_pairs(
     """The sampler as a per-node loop over full single-source rows: the
     reference the vectorized, cutoff-bounded sampler must match draw for
     draw (same pairs, same order, same error)."""
-    d_threshold = failure_to_length(p_threshold)
+    limit = satisfaction_limit(failure_to_length(p_threshold))
     d_cap = None if max_failure is None else failure_to_length(max_failure)
     rng = ensure_rng(seed)
     nodes = graph.nodes
@@ -291,7 +299,7 @@ def loop_sample_important_pairs(
             if iw == iu:
                 continue
             d = distances[iw]
-            if d <= d_threshold:
+            if d <= limit:
                 continue
             if d_cap is not None and d > d_cap:
                 continue

@@ -2,9 +2,11 @@
 
 The contract under test: a long-lived server answering concurrent clients
 returns placements **byte-identical** to offline library solves — across
-admission batching, substrate LRU eviction/rebuild, retries, and journal
-restore. Malformed requests are answered with structured errors and never
-take the server down.
+concurrent requests, substrate LRU eviction/rebuild, retries, and journal
+restore. Requests on one resident substrate run one at a time, a cold
+substrate is built once however many requests wait on it, and a what-if
+session runs on the substrate it pinned. Malformed requests are answered
+with structured errors and never take the server down.
 """
 
 from __future__ import annotations
@@ -381,6 +383,118 @@ class TestWarmCacheLifecycle:
         assert revived == first
         assert stats["restored"] == 1
         assert stats["substrates"]["resident"] == 0  # never even built
+
+
+def place_payload(spec, pair_seed):
+    return {
+        "op": "place", "workload": spec, "solver": "sandwich", "k": 2,
+        "m": 8, "p_threshold": P_T, "pair_seed": pair_seed, "seed": 11,
+    }
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The seed of every substrate the server builds, in build order;
+    each build is slowed so that concurrent requests find it in flight."""
+    seeds = []
+    original = SubstrateLRU.build
+
+    def spy(self, spec):
+        seeds.append(spec["seed"])
+        time.sleep(0.2)
+        return original(self, spec)
+
+    monkeypatch.setattr(SubstrateLRU, "build", spy)
+    return seeds
+
+
+class TestOneRequestAtATimePerSubstrate:
+    def test_session_after_eviction_builds_nothing(self, builds):
+        with running_service(max_substrates=1) as port:
+            with ServiceClient(port=port) as client:
+                client.whatif(
+                    "pinned", "open", workload=WL_A, k=3, m=10,
+                    p_threshold=P_T, pair_seed=7,
+                )
+                client.place(  # evicts WL_A's substrate
+                    WL_B, solver="sandwich", k=3, m=10,
+                    p_threshold=P_T, pair_seed=7, seed=11,
+                )
+                suggested = client.whatif("pinned", "suggest", count=2)
+                stats = client.stats()["substrates"]
+        assert suggested["session"] == "pinned"
+        # The session runs on the entry it pinned: WL_A is not rebuilt,
+        # and WL_B stays the one resident substrate.
+        assert builds == [WL_A["seed"], WL_B["seed"]]
+        assert stats["evictions"] == 1
+        (resident,) = stats["entries"]
+        assert resident["spec"]["seed"] == WL_B["seed"]
+
+    def test_concurrent_cold_requests_build_once(self, builds):
+        payloads = [place_payload(WL_A, pair_seed) for pair_seed in range(4)]
+        with running_service(jobs=2) as port:
+            with ServiceClient(port=port) as client:
+                responses = client.request_many(payloads)
+                stats = client.stats()["substrates"]
+        assert all(response["ok"] for response in responses), responses
+        assert builds == [WL_A["seed"]]
+        assert stats["misses"] == 1
+
+    def test_jobs_on_one_entry_never_overlap(self, monkeypatch):
+        spans = []  # (workload seed, entered, left), from executor threads
+        original = PlannerService._call_resilient
+
+        def timed(self, entry, *args):
+            entered = time.perf_counter()
+            time.sleep(0.05)
+            try:
+                return original(self, entry, *args)
+            finally:
+                spans.append(
+                    (entry.spec["seed"], entered, time.perf_counter())
+                )
+
+        monkeypatch.setattr(PlannerService, "_call_resilient", timed)
+        with running_service(jobs=2, max_substrates=2) as port:
+            with ServiceClient(port=port) as client:
+                warm = client.request_many(
+                    [place_payload(WL_A, 0), place_payload(WL_B, 0)]
+                )
+                spans.clear()
+                responses = client.request_many([
+                    place_payload(spec, pair_seed)
+                    for pair_seed in range(1, 5)
+                    for spec in (WL_A, WL_B)
+                ])
+        assert all(r["ok"] for r in warm + responses), responses
+        by_seed = {}
+        for seed, entered, left in spans:
+            by_seed.setdefault(seed, []).append((entered, left))
+        assert sorted(map(len, by_seed.values())) == [4, 4]
+        for intervals in by_seed.values():
+            intervals.sort()
+            for (_, left), (entered, _) in zip(intervals, intervals[1:]):
+                assert left <= entered
+        # Different substrates run side by side on the two threads.
+        a, b = (by_seed[spec["seed"]] for spec in (WL_A, WL_B))
+        assert any(
+            a_in < b_out and b_in < a_out
+            for a_in, a_out in a
+            for b_in, b_out in b
+        )
+
+    def test_stats_count_one_job_per_request(self):
+        payloads = [place_payload(WL_A, pair_seed) for pair_seed in range(3)]
+        with running_service() as port:
+            with ServiceClient(port=port) as client:
+                client.request_many(payloads)
+                client.ping()  # answered on the loop, no executor job
+                batching = client.stats()["batching"]
+        # perfbench's traced serve run reads these three counters
+        # (serve.batches, serve.batch_size_mean, serve.max_batch_size).
+        assert batching == {
+            "batches": 3, "requests": 3, "max_batch_size": 1,
+        }
 
 
 class TestSubstrateLRUUnit:
