@@ -5,7 +5,7 @@ iteratively — place a link, see what it buys, ask for suggestions, undo a
 bad idea. This example drives :class:`repro.analysis.planner
 .PlacementPlanner` through such a session, then compares the hand-steered
 result with the Approximation Algorithm and stress-tests it with the
-robustness analyzer.
+fault-injection harness.
 
 Run:  python examples/planner_session.py
 """
@@ -14,10 +14,10 @@ from repro import (
     MSCInstance,
     PlacementPlanner,
     SandwichApproximation,
-    perturbation_analysis,
     random_geometric_network,
     select_important_pairs,
 )
+from repro.failure import FaultInjectionHarness
 
 
 def main() -> None:
@@ -56,16 +56,15 @@ def main() -> None:
     aa = SandwichApproximation(instance).solve()
     print(f"AA reference: σ={aa.sigma}")
 
-    # Stress the hand-built placement: jitter every link's failure
-    # probability by up to 30% and re-measure.
-    report = perturbation_analysis(
-        instance, planner.edges, noise=0.3, trials=25, seed=31
-    )
-    print(
-        f"\nrobustness under ±30% link-failure jitter: "
-        f"mean σ {report.mean_sigma:.1f} / baseline {report.baseline_sigma}"
-        f" (retention {report.retention:.0%}, worst {report.worst_sigma})"
-    )
+    # Stress the hand-built placement: inflate every link's failure
+    # probability (severity 1 would multiply it by 4) and re-measure σ.
+    harness = FaultInjectionHarness(instance, planner.edges, seed=31)
+    print("\nσ under failure-probability drift:")
+    for outcome in harness.sweep("probability_drift", [0.0, 0.25, 0.5]):
+        print(
+            f"  severity {outcome.severity:.2f}: "
+            f"σ={outcome.sigma}/{outcome.num_pairs}"
+        )
 
 
 if __name__ == "__main__":

@@ -64,7 +64,6 @@ from repro.core.weighted import (
 )
 from repro.analysis.placement import edge_contributions, pair_attribution
 from repro.analysis.planner import PlacementPlanner
-from repro.analysis.robustness import perturbation_analysis
 from repro.dynamics.prediction import LinearMotionPredictor, prediction_error, split_trace
 from repro.dynamics.series import DynamicMSCInstance, build_dynamic_instance
 from repro.exceptions import (
@@ -144,7 +143,6 @@ __all__ = [
     "edge_contributions",
     "pair_attribution",
     "PlacementPlanner",
-    "perturbation_analysis",
     # dynamics
     "DynamicMSCInstance",
     "build_dynamic_instance",

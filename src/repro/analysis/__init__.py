@@ -1,4 +1,4 @@
-"""Placement analysis: per-edge attribution and robustness evaluation."""
+"""Placement analysis: per-edge attribution and interactive planning."""
 
 from repro.analysis.planner import PlacementPlanner
 from repro.analysis.placement import (
@@ -6,13 +6,10 @@ from repro.analysis.placement import (
     edge_contributions,
     pair_attribution,
 )
-from repro.analysis.robustness import RobustnessReport, perturbation_analysis
 
 __all__ = [
     "EdgeContribution",
     "edge_contributions",
     "pair_attribution",
     "PlacementPlanner",
-    "RobustnessReport",
-    "perturbation_analysis",
 ]

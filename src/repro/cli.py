@@ -10,9 +10,11 @@ Usage::
     msc-repro serve --port 7571   # long-lived planner service (JSONL)
     msc-repro describe            # workload summaries
 
-The execution-control flags (``--jobs``, ``--retries``,
-``--task-timeout``, ``--resume``) are accepted uniformly by ``run``,
-``robustness`` and ``serve``.
+``run`` and ``robustness`` accept the four execution-control flags
+(``--jobs``, ``--retries``, ``--task-timeout``, ``--resume``); ``serve``
+takes ``--jobs`` and ``--resume`` only. A task with a retry budget or a
+timeout runs in a worker process, even at ``--jobs 1``, so that a hung
+task can be terminated.
 
 (also available as ``python -m repro.cli``)
 """
@@ -40,11 +42,29 @@ def add_execution_args(
 ) -> None:
     """The execution-control flags shared by ``run``/``robustness``/``serve``.
 
-    Every command that executes placement work accepts the same four
-    knobs, with the same spellings and defaults: ``--jobs``,
-    ``--retries``, ``--task-timeout`` and ``--resume``.
+    Every command that executes placement work accepts ``--jobs`` and
+    ``--resume``, with the same spellings and defaults; ``run`` and
+    ``robustness`` also take :func:`add_retry_args`.
     """
     parser.add_argument("--jobs", type=int, default=1, help=jobs_help)
+    parser.add_argument(
+        "--resume",
+        metavar="DIR",
+        default=None,
+        help="checkpoint directory: completed tasks are journaled there as "
+        "they finish, and a re-run (or restarted server) pointed at the "
+        "same directory restores them instead of recomputing — results "
+        "stay byte-identical to an uninterrupted run",
+    )
+
+
+def add_retry_args(parser: argparse.ArgumentParser) -> None:
+    """``--retries`` and ``--task-timeout`` of ``run`` and ``robustness``.
+
+    The process fan-out honours them by re-running or terminating a
+    task's worker. ``serve`` has neither: its solves run on threads,
+    which cannot be terminated.
+    """
     parser.add_argument(
         "--retries",
         type=int,
@@ -59,15 +79,6 @@ def add_execution_args(
         metavar="SECONDS",
         help="per-task wall-clock bound; a task exceeding it is terminated "
         "(and retried if --retries allows)",
-    )
-    parser.add_argument(
-        "--resume",
-        metavar="DIR",
-        default=None,
-        help="checkpoint directory: completed tasks are journaled there as "
-        "they finish, and a re-run (or restarted server) pointed at the "
-        "same directory restores them instead of recomputing — results "
-        "stay byte-identical to an uninterrupted run",
     )
 
 
@@ -125,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         "across this many worker processes; results are byte-identical to "
         "a serial run",
     )
+    add_retry_args(run)
 
     robustness = sub.add_parser(
         "robustness",
@@ -153,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         robustness,
         jobs_help="fan (mode, severity) cells out across worker processes",
     )
+    add_retry_args(robustness)
 
     serve = sub.add_parser(
         "serve",
@@ -390,8 +403,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         stdio=args.stdio,
         max_substrates=args.max_substrates,
         jobs=args.jobs,
-        retries=args.retries,
-        task_timeout=args.task_timeout,
         journal_dir=args.resume,
     )
 
@@ -407,8 +418,32 @@ def _cmd_describe() -> int:
     return 0
 
 
+def _check_seeds_flags(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Reject the fault-tolerance flags with ``run --seeds N > 1``: the
+    multi-seed path neither journals, retries nor times out."""
+    ignored = [
+        flag
+        for flag, given in (
+            ("--resume", args.resume is not None),
+            ("--retries", args.retries > 0),
+            ("--task-timeout", args.task_timeout is not None),
+        )
+        if given
+    ]
+    if ignored:
+        parser.error(
+            f"run --seeds {args.seeds} does not support "
+            f"{', '.join(ignored)}; run one seed at a time to use them"
+        )
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.seeds > 1:
+        _check_seeds_flags(parser, args)
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

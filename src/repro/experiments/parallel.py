@@ -19,7 +19,10 @@ Fault tolerance
 ---------------
 
 A crashed worker process, a raising worker, or a hung worker no longer
-aborts the whole map:
+aborts the whole map. Retries and timeouts live in the process pool only,
+because only a worker process can be killed: a map with a retry budget or
+a *task_timeout* runs in a pool even at ``jobs=1`` (one worker), and only
+a map with neither runs in-process.
 
 * each task gets up to ``policy.attempts`` attempts with exponential
   backoff and deterministic jitter (:class:`~repro.util.resilience.RetryPolicy`);
@@ -82,7 +85,7 @@ from typing import (
 )
 
 from repro.exceptions import TaskError, TaskTimeoutError, ValidationError
-from repro.util.resilience import RetryPolicy, retry_call
+from repro.util.resilience import RetryPolicy
 from repro.util.serialization import TaskJournal
 from repro.util.validation import check_positive_int
 
@@ -143,9 +146,10 @@ def fanout(
 ) -> List[R]:
     """Map *worker* over *tasks*, optionally across worker processes.
 
-    With ``jobs <= 1`` (or fewer than two tasks to run) the map runs
-    in-process; otherwise a :class:`ProcessPoolExecutor` with
-    ``min(jobs, len(tasks))`` workers is used. Either way the result list
+    With ``jobs <= 1`` (or fewer than two tasks to run) and neither a
+    retry budget nor a *task_timeout*, the map runs in-process; otherwise
+    a :class:`ProcessPoolExecutor` with ``min(jobs, len(tasks))`` workers
+    (at least one) is used. Either way the result list
     is in task order and each element is computed by the same call
     ``worker(task)``, so output does not depend on the job count.
 
@@ -181,15 +185,13 @@ def fanout_report(
     key_fn: Optional[Callable[[T], Any]] = None,
     encode: Optional[Callable[[R], Any]] = None,
     decode: Optional[Callable[[Any], R]] = None,
-    sleep: Callable[[float], None] = time.sleep,
 ) -> FanoutReport:
     """Fault-tolerant :func:`fanout` that collects failures per task.
 
     Args:
         policy: retry schedule; default is a single attempt (no retries).
-        task_timeout: per-attempt wall-clock bound in seconds. In the
-            process pool the hung worker is terminated; in-process a
-            daemon thread is abandoned.
+        task_timeout: per-attempt wall-clock bound in seconds; the hung
+            worker process is terminated.
         journal: checkpoint store. Completed tasks are recorded the moment
             they finish; tasks already recorded are restored instead of
             re-run (their results are byte-identical by the determinism
@@ -231,42 +233,32 @@ def fanout_report(
         if journal is not None:
             journal.put(key_of(tasks[i]), encode(result))
 
-    if jobs <= 1 or len(to_run) <= 1:
-        _run_serial(
-            worker, tasks, to_run, policy, task_timeout, key_of,
-            record, failures, report, sleep,
-        )
-    else:
+    # Only a worker process can be terminated, so any retry budget or
+    # timeout runs in the pool, with one worker at jobs=1.
+    in_process = policy.attempts == 1 and task_timeout is None
+    if in_process and (jobs <= 1 or len(to_run) <= 1):
+        _run_serial(worker, tasks, to_run, key_of, record, failures)
+    elif to_run:
         _run_pool(
             worker, tasks, to_run, jobs, policy, task_timeout, key_of,
-            record, failures, report, sleep,
+            record, failures, report,
         )
 
     report.failures = [failures[i] for i in sorted(failures)]
     return report
 
 
-def _run_serial(
-    worker, tasks, to_run, policy, task_timeout, key_of,
-    record, failures, report, sleep,
-) -> None:
+def _run_serial(worker, tasks, to_run, key_of, record, failures) -> None:
     for i in to_run:
-        def _note_retry(attempt: int, _exc: BaseException) -> None:
-            if attempt < policy.attempts:
-                report.retried += 1
-
         try:
-            result = retry_call(
-                worker,
-                (tasks[i],),
-                policy=policy,
-                key=key_of(tasks[i]),
-                timeout=task_timeout,
-                sleep=sleep,
-                on_failure=_note_retry,
+            result = worker(tasks[i])
+        except Exception as exc:
+            failures[i] = TaskError(
+                f"task {key_of(tasks[i])!r} failed: {exc!r}",
+                task=tasks[i],
+                attempts=1,
+                cause_traceback=traceback.format_exc(),
             )
-        except TaskError as exc:
-            failures[i] = exc
         else:
             record(i, result)
 
@@ -299,7 +291,7 @@ def _terminate_pool(pool: ProcessPoolExecutor, kill: bool) -> None:
 
 def _run_pool(
     worker, tasks, to_run, jobs, policy, task_timeout, key_of,
-    record, failures, report, sleep,
+    record, failures, report,
 ) -> None:
     max_workers = min(jobs, len(to_run))
     attempts = {i: 0 for i in to_run}
@@ -360,7 +352,7 @@ def _run_pool(
             if not running:
                 # Everything left is backing off; sleep to the first gate.
                 wake = min(eligible[i] for i in pending)
-                sleep(max(wake - time.monotonic(), _POLL_INTERVAL))
+                time.sleep(max(wake - time.monotonic(), _POLL_INTERVAL))
                 continue
 
             wait_timeout = None

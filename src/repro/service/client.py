@@ -20,8 +20,8 @@ class ServiceError(ProtocolError):
     """A structured error response, re-raised client-side.
 
     Attributes:
-        error: the response's ``error`` object (``type``, ``message``, and
-            for resilience-layer failures ``attempts``/``task``).
+        error: the response's ``error`` object (``type`` and
+            ``message``).
     """
 
     def __init__(self, error: Dict[str, Any]) -> None:

@@ -4,8 +4,7 @@ Every request is one JSON object per line with an ``op`` field; every
 response is one JSON object per line echoing the request's ``id`` and
 carrying either ``"ok": true`` with a ``result`` or ``"ok": false`` with a
 structured ``error`` — malformed input is *answered*, never allowed to
-crash the server (the graceful-degradation contract the PR-2 resilience
-layer provides for batch campaigns, extended to the request plane).
+crash the server.
 
 The module is deliberately dependency-light (pure parsing/validation) so
 both the asyncio server and the synchronous test client share it.
@@ -16,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.exceptions import ReproError, TaskError, TaskTimeoutError
+from repro.exceptions import ReproError
 
 #: Operations the service understands.
 OPS = ("place", "sigma", "whatif", "stats", "ping", "shutdown")
@@ -157,21 +156,13 @@ def ok_response(request_id: Any, result: Any) -> Dict[str, Any]:
 
 
 def error_response(request_id: Any, exc: BaseException) -> Dict[str, Any]:
-    """Structured error envelope for *exc*.
-
-    ``type`` is the exception class name (``TaskTimeoutError`` for
-    request-timeout kills); resilience-layer failures carry their attempt
-    count so clients can see the retry budget was spent.
-    """
-    error: Dict[str, Any] = {
-        "type": type(exc).__name__,
-        "message": str(exc),
+    """Structured error envelope for *exc*: ``type`` is the exception
+    class name, ``message`` its text."""
+    return {
+        "id": request_id,
+        "ok": False,
+        "error": {"type": type(exc).__name__, "message": str(exc)},
     }
-    if isinstance(exc, (TaskError, TaskTimeoutError)):
-        error["attempts"] = exc.attempts
-        if getattr(exc, "task", None) is not None:
-            error["task"] = repr(exc.task)
-    return {"id": request_id, "ok": False, "error": error}
 
 
 def encode_response(response: Dict[str, Any]) -> bytes:

@@ -1,13 +1,16 @@
 """The asyncio planner service behind ``repro serve``.
 
 One :class:`PlannerService` owns the resident-substrate LRU, the what-if
-sessions, and a small thread executor where the CPU-bound solves run. The
-request plane reuses the PR-2 resilience layer end to end: each job runs
-under :func:`~repro.util.resilience.retry_call` with the server's
-:class:`~repro.util.resilience.RetryPolicy` and per-request
-``call_with_timeout`` bound, and every failure — malformed input, solver
-error, timeout — comes back as a structured error response instead of a
-dropped connection.
+sessions, and a small thread executor where the CPU-bound solves run.
+Every failure — malformed input, solver error — comes back as a
+structured error response instead of a dropped connection.
+
+**No retries, no timeouts.** A solve is deterministic, so a retried
+request fails the same way again. A solve runs on an executor thread
+under its substrate's lock, and a thread cannot be stopped: a timeout
+could only answer early, free the lock and leave the solve running beside
+the next one on the same single-threaded engine cache. A request runs to
+completion and is answered once.
 
 **One request at a time per substrate.** Each request runs as soon as it
 arrives, as its own executor job, under the lock of its resident
@@ -33,7 +36,6 @@ from repro.core.evaluator import SigmaEvaluator
 from repro.core.problem import MSCInstance
 from repro.core.registry import get_solver
 from repro.core.substrate import PlacementRequest
-from repro.exceptions import ReproError, TaskError
 from repro.netgen.pairs import select_important_pairs
 from repro.service.protocol import (
     WHATIF_ACTIONS,
@@ -50,7 +52,6 @@ from repro.service.protocol import (
 )
 from repro.service.substrates import SubstrateEntry, SubstrateLRU
 from repro.types import NodePair
-from repro.util.resilience import policy_for_retries, retry_call
 from repro.util.serialization import TaskJournal, canonical_key
 
 #: Longest request line a TCP connection accepts, in bytes (newline
@@ -63,15 +64,14 @@ MAX_REQUEST_LINE_BYTES = 1 << 20
 class PlannerService:
     """Long-lived placement planner over resident substrates.
 
+    Each request runs to completion and is answered once; it is neither
+    retried nor timed out (see the module docs).
+
     Args:
         max_substrates: LRU capacity of the resident-substrate registry.
         jobs: executor threads. Same-substrate work is always serialized
             (the engine cache is single-threaded by design); extra threads
             only help when several *different* substrates are hot.
-        retries: extra attempts per failed request (PR-2 retry policy,
-            deterministic backoff).
-        task_timeout: per-request wall-clock bound, seconds; a request
-            exceeding it is answered with a ``TaskTimeoutError`` error.
         journal_dir: when set, every completed ``place`` is journaled
             (crash-safe :class:`TaskJournal`, keyed by the full request
             recipe) and an identical request — including after a server
@@ -84,8 +84,6 @@ class PlannerService:
         *,
         max_substrates: int = 4,
         jobs: int = 1,
-        retries: int = 0,
-        task_timeout: Optional[float] = None,
         journal_dir: Optional[str] = None,
     ) -> None:
         self.substrates = SubstrateLRU(max_substrates)
@@ -93,8 +91,6 @@ class PlannerService:
             max_workers=max(1, int(jobs)),
             thread_name_prefix="repro-serve",
         )
-        self.policy = policy_for_retries(retries)
-        self.task_timeout = task_timeout
         self.journal = (
             TaskJournal(journal_dir) if journal_dir is not None else None
         )
@@ -192,29 +188,13 @@ class PlannerService:
                 self.jobs_run += 1
 
     def _call_resilient(self, entry: SubstrateEntry, fn: Callable) -> Any:
-        """``fn(entry)`` under the server's retry policy and per-request
-        timeout, when configured."""
-        if self.task_timeout is None and self.policy.attempts == 1:
-            return fn(entry)  # fast path: errors keep their own type
-        try:
-            return retry_call(
-                fn,
-                (entry,),
-                policy=self.policy,
-                key=entry.key,
-                timeout=self.task_timeout,
-                retry_on=(Exception,),
-            )
-        except TaskError as exc:
-            cause = exc.__cause__
-            if isinstance(cause, ReproError) and not isinstance(
-                cause, TaskError
-            ):
-                # Deterministic domain errors (bad pairs, unknown solver)
-                # exhausted the retry budget by construction; surface the
-                # original, more useful, error type.
-                raise cause from None
-            raise
+        """``fn(entry)``, run on an executor thread.
+
+        Kept as a method of its own because perfbench's ``serve.solve``
+        span wraps it by name; ``tests/test_benchmark_hooks.py`` fails if
+        it disappears.
+        """
+        return fn(entry)
 
     # -------------------------------------------------------------- ops
 
@@ -492,8 +472,6 @@ class PlannerService:
                 "max_batch_size": min(self.jobs_run, 1),
             },
             "executor_jobs": self.executor._max_workers,
-            "retries": self.policy.attempts - 1,
-            "task_timeout": self.task_timeout,
         }
 
     def close(self) -> None:

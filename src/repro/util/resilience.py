@@ -1,9 +1,10 @@
-"""Retry, backoff and timeout primitives for fault-tolerant execution.
+"""Retry and backoff schedule for fault-tolerant execution.
 
 The experiment layer fans independent tasks across worker processes; a
-crashed or hung worker must not take the campaign down with it. This module
-provides the building blocks the hardened fan-out
-(:func:`repro.experiments.parallel.fanout`) is assembled from:
+crashed or hung worker must not take the campaign down with it. The
+process fan-out (:func:`repro.experiments.parallel.fanout`) is the one
+place a task is retried or timed out, because only a worker process can
+be killed. This module provides its schedule:
 
 * :class:`RetryPolicy` — bounded attempts with exponential backoff and
   **deterministic** jitter. The jitter for attempt ``a`` of task ``key`` is
@@ -11,25 +12,14 @@ provides the building blocks the hardened fan-out
   :func:`~repro.util.rng.spawn_rng` from ``(key, a)`` alone, so two runs of
   the same campaign back off identically — reproducibility extends to the
   failure path.
-* :func:`retry_call` — run a callable under a policy, wrapping the final
-  failure in :class:`~repro.exceptions.TaskError` with the task identity,
-  attempt count and original traceback.
-* :func:`call_with_timeout` — bound a single call's wall-clock. The callable
-  runs on a daemon thread; on timeout a
-  :class:`~repro.exceptions.TaskTimeoutError` is raised and the thread is
-  abandoned (it cannot be killed — process-level timeouts, where the worker
-  *can* be killed, are handled by the process fan-out).
 """
 
 from __future__ import annotations
 
-import threading
-import time
-import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
+from typing import Any, Iterator
 
-from repro.exceptions import TaskError, TaskTimeoutError, ValidationError
+from repro.exceptions import ValidationError
 from repro.util.rng import ensure_rng, spawn_rng
 from repro.util.validation import (
     check_nonnegative,
@@ -95,106 +85,3 @@ def policy_for_retries(retries: int) -> RetryPolicy:
     if retries < 0:
         raise ValidationError(f"retries must be >= 0, got {retries!r}")
     return RetryPolicy(attempts=retries + 1)
-
-
-def call_with_timeout(
-    fn: Callable[..., Any],
-    args: Sequence[Any] = (),
-    kwargs: Optional[dict] = None,
-    timeout: Optional[float] = None,
-    *,
-    task: Any = None,
-) -> Any:
-    """Run ``fn(*args, **kwargs)``, raising :class:`TaskTimeoutError` if it
-    does not finish within *timeout* seconds.
-
-    The call runs on a daemon thread; a timed-out call keeps running in the
-    background until the interpreter exits (threads cannot be killed).
-    Callers that need the hung work actually reclaimed should run tasks in
-    worker *processes* (see ``fanout``), where a hung worker is terminated.
-    """
-    if timeout is None:
-        return fn(*args, **(kwargs or {}))
-    check_nonnegative(float(timeout), "timeout")
-
-    outcome: list = []
-
-    def _run() -> None:
-        try:
-            outcome.append((True, fn(*args, **(kwargs or {}))))
-        except BaseException as exc:  # delivered to the caller below
-            outcome.append((False, exc))
-
-    thread = threading.Thread(target=_run, daemon=True)
-    thread.start()
-    thread.join(timeout)
-    if thread.is_alive():
-        raise TaskTimeoutError(
-            f"task {task!r} exceeded its {timeout}s timeout",
-            task=task,
-            attempts=1,
-        )
-    ok, payload = outcome[0]
-    if ok:
-        return payload
-    raise payload
-
-
-def retry_call(
-    fn: Callable[..., Any],
-    args: Sequence[Any] = (),
-    kwargs: Optional[dict] = None,
-    *,
-    policy: Optional[RetryPolicy] = None,
-    key: Any = None,
-    timeout: Optional[float] = None,
-    retry_on: Tuple[type, ...] = (Exception,),
-    sleep: Callable[[float], None] = time.sleep,
-    on_failure: Optional[Callable[[int, BaseException], None]] = None,
-) -> Any:
-    """Run ``fn(*args, **kwargs)`` under *policy*, retrying failures.
-
-    Args:
-        policy: retry schedule (default: a single attempt).
-        key: task identity — reported in the terminal
-            :class:`~repro.exceptions.TaskError` and mixed into the
-            deterministic jitter.
-        timeout: optional per-attempt wall-clock bound (thread-based; see
-            :func:`call_with_timeout`).
-        retry_on: exception types that consume an attempt; anything else
-            propagates immediately.
-        sleep: injectable sleep for tests.
-        on_failure: observer called with ``(attempt, exception)`` after
-            each failed attempt.
-
-    Raises:
-        TaskError: when every attempt failed; carries *key*, the attempt
-            count and the last traceback. :class:`TaskTimeoutError` (a
-            subclass) when the last failure was a timeout.
-    """
-    policy = policy or RetryPolicy()
-    last_traceback = None
-    last_exc: Optional[BaseException] = None
-    for attempt in range(1, policy.attempts + 1):
-        try:
-            return call_with_timeout(
-                fn, args, kwargs, timeout, task=key
-            )
-        except retry_on as exc:
-            last_exc = exc
-            last_traceback = traceback.format_exc()
-            if on_failure is not None:
-                on_failure(attempt, exc)
-            if attempt < policy.attempts:
-                sleep(policy.delay(attempt, key))
-    error_cls = (
-        TaskTimeoutError if isinstance(last_exc, TaskTimeoutError)
-        else TaskError
-    )
-    raise error_cls(
-        f"task {key!r} failed after {policy.attempts} attempt(s): "
-        f"{last_exc!r}",
-        task=key,
-        attempts=policy.attempts,
-        cause_traceback=last_traceback,
-    ) from last_exc

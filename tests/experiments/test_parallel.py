@@ -101,6 +101,13 @@ def _double(value):
     return value * 2
 
 
+def _sleep_then_write(path):
+    time.sleep(1.0)
+    with open(path, "a") as handle:
+        handle.write("finished\n")
+    return path
+
+
 class TestFanoutFaultTolerance:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_transient_failure_retried_to_success(self, tmp_path, jobs):
@@ -153,6 +160,20 @@ class TestFanoutFaultTolerance:
         )
         assert isinstance(report.failures[0], TaskTimeoutError)
         assert report.results == [None, 50]
+
+    def test_serial_timeout_kills_every_attempt(self, tmp_path):
+        """With jobs=1 a timed-out attempt is terminated, not left running
+        beside its retry: no attempt writes after the call returns."""
+        marker = tmp_path / "written"
+        report = fanout_report(
+            _sleep_then_write, [str(marker)], jobs=1,
+            policy=RetryPolicy(attempts=2, base_delay=0, jitter=0),
+            task_timeout=0.3,
+        )
+        assert isinstance(report.failures[0], TaskTimeoutError)
+        assert report.retried == 1
+        time.sleep(1.5)
+        assert not marker.exists()
 
     def test_journal_requires_key_fn(self, tmp_path):
         with pytest.raises(ValidationError):

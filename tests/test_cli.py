@@ -126,6 +126,42 @@ class TestFaultToleranceFlags:
         assert args.retries == 0
         assert args.task_timeout is None
 
+    @pytest.mark.parametrize(
+        "flag", [["--retries", "1"], ["--task-timeout", "1"]]
+    )
+    def test_serve_rejects_retry_and_timeout(self, flag):
+        # Serve solves run on threads, which cannot be terminated.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", *flag])
+        assert excinfo.value.code == 2
+
+    def test_serve_keeps_jobs_and_resume(self):
+        args = build_parser().parse_args(
+            ["serve", "--jobs", "2", "--resume", "ckpt"]
+        )
+        assert args.jobs == 2
+        assert args.resume == "ckpt"
+
+    def test_multi_seed_rejects_fault_tolerance_flags(
+        self, capsys, tmp_path
+    ):
+        # --seeds > 1 neither journals, retries nor times out, so the
+        # flags are an error rather than silently ignored.
+        ckpt = tmp_path / "ck"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "run", "table1", "--scale", "quick", "--seeds", "2",
+                    "--resume", str(ckpt), "--retries", "3",
+                    "--task-timeout", "0.001",
+                ]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        for flag in ("--resume", "--retries", "--task-timeout"):
+            assert flag in err
+        assert not ckpt.exists()
+
     def test_resume_checkpoints_and_restores(self, capsys, tmp_path):
         ckpt = tmp_path / "ckpt"
         first = main(

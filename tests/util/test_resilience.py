@@ -1,17 +1,9 @@
-"""Tests for repro.util.resilience: deterministic backoff, retry_call,
-call_with_timeout."""
-
-import time
+"""Tests for repro.util.resilience: the deterministic backoff schedule."""
 
 import pytest
 
-from repro.exceptions import TaskError, TaskTimeoutError, ValidationError
-from repro.util.resilience import (
-    RetryPolicy,
-    call_with_timeout,
-    policy_for_retries,
-    retry_call,
-)
+from repro.exceptions import ValidationError
+from repro.util.resilience import RetryPolicy, policy_for_retries
 
 
 class TestRetryPolicy:
@@ -55,99 +47,3 @@ class TestRetryPolicy:
         assert policy_for_retries(3).attempts == 4
         with pytest.raises(ValidationError):
             policy_for_retries(-1)
-
-
-class TestCallWithTimeout:
-    def test_no_timeout_runs_inline(self):
-        assert call_with_timeout(lambda x: x + 1, (41,)) == 42
-
-    def test_fast_call_within_timeout(self):
-        assert call_with_timeout(lambda: "ok", timeout=5.0) == "ok"
-
-    def test_exception_propagates(self):
-        with pytest.raises(KeyError):
-            call_with_timeout(lambda: {}["missing"], timeout=5.0)
-
-    def test_timeout_raises_task_timeout_error(self):
-        with pytest.raises(TaskTimeoutError) as excinfo:
-            call_with_timeout(
-                time.sleep, (10,), timeout=0.05, task=("fig1", 1)
-            )
-        assert excinfo.value.task == ("fig1", 1)
-
-
-class TestRetryCall:
-    def test_success_first_try(self):
-        calls = []
-        result = retry_call(lambda: calls.append(1) or "ok")
-        assert result == "ok"
-        assert len(calls) == 1
-
-    def test_succeeds_after_transient_failures(self):
-        state = {"left": 2}
-        slept = []
-
-        def flaky():
-            if state["left"]:
-                state["left"] -= 1
-                raise RuntimeError("transient")
-            return "recovered"
-
-        result = retry_call(
-            flaky,
-            policy=RetryPolicy(attempts=3, base_delay=0.01),
-            key="job",
-            sleep=slept.append,
-        )
-        assert result == "recovered"
-        assert len(slept) == 2  # backed off twice
-
-    def test_exhausted_budget_wraps_in_task_error(self):
-        observed = []
-
-        def always_fails():
-            raise ValueError("boom")
-
-        with pytest.raises(TaskError) as excinfo:
-            retry_call(
-                always_fails,
-                policy=RetryPolicy(attempts=3, base_delay=0.0),
-                key=("table1", "quick", 7),
-                sleep=lambda _t: None,
-                on_failure=lambda attempt, exc: observed.append(attempt),
-            )
-        error = excinfo.value
-        assert error.task == ("table1", "quick", 7)
-        assert error.attempts == 3
-        assert "boom" in error.cause_traceback
-        assert isinstance(error.__cause__, ValueError)
-        assert observed == [1, 2, 3]
-
-    def test_timeout_failure_becomes_task_timeout_error(self):
-        with pytest.raises(TaskTimeoutError) as excinfo:
-            retry_call(
-                time.sleep, (10,),
-                policy=RetryPolicy(attempts=2, base_delay=0.0),
-                key="slow",
-                timeout=0.05,
-                sleep=lambda _t: None,
-            )
-        assert excinfo.value.attempts == 2
-
-    def test_non_retryable_exception_passes_through(self):
-        def fails():
-            raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            retry_call(fails, policy=RetryPolicy(attempts=3))
-
-    def test_retry_on_filter(self):
-        def fails():
-            raise ValueError("not retried")
-
-        with pytest.raises(ValueError):
-            retry_call(
-                fails,
-                policy=RetryPolicy(attempts=3),
-                retry_on=(OSError,),
-            )
